@@ -81,6 +81,16 @@ class MonotonicDeadline
 
     bool armed() const { return armed_; }
 
+    /** @return the deadline on std::chrono::steady_clock, for timed
+     *  waits (time_point::max() when unarmed). */
+    std::chrono::steady_clock::time_point
+    timePoint() const
+    {
+        return armed_ ? std::chrono::steady_clock::time_point(
+                            std::chrono::nanoseconds(deadlineNs_))
+                      : std::chrono::steady_clock::time_point::max();
+    }
+
   private:
     bool armed_ = false;
     std::int64_t deadlineNs_ = 0;

@@ -63,8 +63,11 @@ struct FlushHookRegistry
 FlushHookRegistry &
 flushHooks()
 {
-    static FlushHookRegistry r;
-    return r;
+    // Never destroyed: objects with static storage (the process-wide
+    // flight recorder) unregister their hooks from their destructors
+    // at exit, which may run after a static registry's would.
+    static FlushHookRegistry *r = new FlushHookRegistry;
+    return *r;
 }
 
 } // namespace

@@ -34,6 +34,7 @@
 #include "common/logging.hh"
 #include "common/random.hh"
 #include "common/stats.hh"
+#include "common/stop_latch.hh"
 #include "common/subprocess.hh"
 #include "common/types.hh"
 

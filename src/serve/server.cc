@@ -1,6 +1,8 @@
 #include "serve/server.hh"
 
+#include <algorithm>
 #include <cerrno>
+#include <climits>
 #include <chrono>
 #include <cstring>
 #include <set>
@@ -156,13 +158,16 @@ buildSpecJobs(const SimSpec &spec)
  *  (a wide tournament goes through campaigns, not one socket hit). */
 constexpr std::size_t kMaxJobsPerRequest = 4096;
 
-/** "<= 0 disables" seconds knob to a poll(2) millisecond budget. */
+/** "<= 0 disables" seconds knob to a poll(2) millisecond budget,
+ *  saturated at INT_MAX (about 24.8 days). */
 int
 timeoutMs(double seconds)
 {
-    if (seconds <= 0)
+    if (!(seconds > 0))
         return -1;
     const double ms = seconds * 1e3;
+    if (ms >= static_cast<double>(INT_MAX))
+        return INT_MAX;
     return ms < 1 ? 1 : static_cast<int>(ms);
 }
 
@@ -332,6 +337,14 @@ SimServer::reapConnections(bool all)
     }
 }
 
+bool
+SimServer::allDone() const
+{
+    return std::all_of(conns_.begin(), conns_.end(), [](const Conn &c) {
+        return c.done.load(std::memory_order_acquire);
+    });
+}
+
 std::size_t
 SimServer::liveConnections()
 {
@@ -355,21 +368,21 @@ SimServer::drainConnections()
                 ::shutdown(c.fd, SHUT_RD);
             }
         }
+        if (allDone())
+            allClosed_.stop();
     }
-    // Phase 2: in-flight requests get drainSeconds to finish.
-    const MonotonicDeadline deadline(opts_.drainSeconds);
-    while (true) {
-        reapConnections(false);
-        if (liveConnections() == 0)
-            return;
-        if (opts_.drainSeconds <= 0 || deadline.expired())
-            break;
-        std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    }
+    // Phase 2: in-flight requests get drainSeconds to finish; the
+    // last handler to finish wakes us.
+    if (opts_.drainSeconds > 0)
+        allClosed_.waitUntil(MonotonicDeadline(opts_.drainSeconds)
+                                 .timePoint());
+    reapConnections(false);
+    if (liveConnections() == 0)
+        return;
     // Phase 3: the grace expired. Cancel whatever SIM is running
-    // (hardStop_ feeds every in-flight cancelFlag), count the
-    // requests we are abandoning, and force the sockets shut.
-    hardStop_.store(true, std::memory_order_release);
+    // (hardStop_ cancels every batch), count the requests we are
+    // abandoning, and force the sockets shut.
+    hardStop_.request_stop();
     {
         std::lock_guard<std::mutex> lock(connMutex_);
         for (Conn &c : conns_) {
@@ -548,11 +561,10 @@ SimServer::handleSim(const std::string &specJson,
 
         // A request that cannot reach the runner before its wall
         // deadline is cancelled while still in line.
-        std::unique_lock<std::timed_mutex> lock(simMutex_,
-                                                std::defer_lock);
-        if (deadline.armed()) {
-            if (!lock.try_lock_for(std::chrono::duration<double>(
-                    deadline.remainingSeconds()))) {
+        {
+            std::unique_lock<std::mutex> lock(simMutex_);
+            if (!simFree_.wait_until(lock, deadline.timePoint(),
+                                     [this] { return !simBusy_; })) {
                 simWaiters_.fetch_sub(1, std::memory_order_acq_rel);
                 deadlineCancels_.fetch_add(
                     1, std::memory_order_relaxed);
@@ -562,33 +574,24 @@ SimServer::handleSim(const std::string &specJson,
                     opts_.requestDeadlineSeconds);
                 return ResponseStatus::Err;
             }
-        } else {
-            lock.lock();
+            simBusy_ = true;
         }
 
-        // Cooperative cancel: an alarm thread watches the wall
-        // deadline and the drain hard-stop; either raises the
-        // cancel flag the runner polls at block boundaries.
+        // Cooperative cancel: the wall deadline and the drain
+        // hard-stop are batch-cancel sources of the runner's own
+        // watchdog, which raises the cancel flag the simulator
+        // checks at block boundaries.
         RobustRunOptions ropts;
         ropts.timeoutSeconds = opts_.jobTimeoutSeconds;
-        std::atomic<bool> cancel{false};
-        std::atomic<bool> alarmStop{false};
-        ropts.cancelFlag = &cancel;
-        std::thread alarm([&] {
-            while (!alarmStop.load(std::memory_order_relaxed)) {
-                if (deadline.expired() ||
-                    hardStop_.load(std::memory_order_relaxed)) {
-                    cancel.store(true, std::memory_order_relaxed);
-                    return;
-                }
-                std::this_thread::sleep_for(
-                    std::chrono::milliseconds(5));
-            }
-        });
-        RobustBatchResult batch = runner_.runRobust(missJobs, ropts);
-        alarmStop.store(true, std::memory_order_relaxed);
-        alarm.join();
-        lock.unlock();
+        ropts.deadline = deadline;
+        ropts.stop = hardStop_.get_token();
+        const RobustBatchResult batch =
+            runner_.runRobust(missJobs, ropts);
+        {
+            std::lock_guard<std::mutex> lock(simMutex_);
+            simBusy_ = false;
+        }
+        simFree_.notify_one();
         simWaiters_.fetch_sub(1, std::memory_order_acq_rel);
 
         for (std::size_t j = 0; j < missIdx.size(); ++j) {
@@ -698,9 +701,15 @@ SimServer::handleConnection(Conn *conn)
         if (draining_.load(std::memory_order_acquire))
             break; // finish the request in hand, then bow out
     }
+    // Closed under connMutex_: a drain or reap that shutdown()s the
+    // fd holds that lock, so it never touches a descriptor number
+    // that was already closed and reused.
+    std::lock_guard<std::mutex> lock(connMutex_);
     ::close(conn->fd);
     conn->fd = -1;
     conn->done.store(true, std::memory_order_release);
+    if (draining_.load(std::memory_order_acquire) && allDone())
+        allClosed_.stop();
 }
 
 ServeReport
@@ -721,7 +730,7 @@ SimServer::run()
     // while every handler thread is busy (mirrors the campaign
     // worker's heartbeat).
     std::unique_ptr<StatusPublisher> publisher;
-    std::atomic<bool> statusStop{false};
+    StopLatch statusStop;
     std::thread statusThread;
     if (!opts_.statusPath.empty()) {
         publisher = std::make_unique<StatusPublisher>(
@@ -753,11 +762,8 @@ SimServer::run()
             return snap;
         };
         statusThread = std::thread([&, this] {
-            while (!statusStop.load(std::memory_order_relaxed)) {
-                std::this_thread::sleep_for(
-                    std::chrono::milliseconds(100));
+            while (!statusStop.waitFor(std::chrono::milliseconds(100)))
                 publisher->publish(makeSnapshot(false));
-            }
             publisher->publish(makeSnapshot(true), true);
         });
     }
@@ -838,7 +844,7 @@ SimServer::run()
     // statusboard snapshot goes out.
     cache_.flushJournal();
     if (statusThread.joinable()) {
-        statusStop.store(true, std::memory_order_relaxed);
+        statusStop.stop();
         statusThread.join();
     }
     ServeReport rep = reportLocked();

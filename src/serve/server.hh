@@ -29,14 +29,17 @@
 #define POWERCHOP_SERVE_SERVER_HH
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <list>
 #include <mutex>
+#include <stop_token>
 #include <string>
 #include <thread>
 
 #include "common/stats.hh"
+#include "common/stop_latch.hh"
 #include "serve/protocol.hh"
 #include "serve/result_cache.hh"
 #include "sim/sim_runner.hh"
@@ -164,7 +167,7 @@ class SimServer
     struct Conn
     {
         std::thread thread;
-        int fd = -1;
+        int fd = -1; ///< Written under connMutex_; -1 once closed.
         std::atomic<bool> done{false};
         std::atomic<bool> busy{false}; ///< A request is in flight.
     };
@@ -177,6 +180,7 @@ class SimServer
     ServeReport reportLocked() const;
     void reapConnections(bool all);
     void drainConnections();
+    bool allDone() const; ///< Every handler finished; connMutex_ held.
     std::size_t liveConnections();
 
     ServeOptions opts_;
@@ -186,12 +190,15 @@ class SimServer
     unsigned short boundPort_ = 0;
     double startedAt_ = 0;
 
-    /** The runner pool must be driven from one thread at a time.
-     *  Timed so a request-deadline waiter can give up and answer
-     *  "ERR deadline" instead of queueing forever. */
-    std::timed_mutex simMutex_;
+    /** The runner pool must be driven from one thread at a time: a
+     *  SIM miss holds this slot while its batch runs. A condition
+     *  variable, so a waiter with a request deadline can give up on
+     *  time and answer "ERR deadline" instead of queueing forever. */
+    std::mutex simMutex_;
+    std::condition_variable simFree_;
+    bool simBusy_ = false;
 
-    /** SIM misses queued or running behind simMutex_ (admission
+    /** SIM misses queued or running for the runner slot (admission
      *  control compares this against simQueueDepth). */
     std::atomic<unsigned> simWaiters_{0};
 
@@ -199,12 +206,16 @@ class SimServer
      *  request, then close instead of reading the next one. */
     std::atomic<bool> draining_{false};
 
-    /** Rises at the drain deadline: cooperatively cancels whatever
-     *  SIM is still in flight (wired into RobustRunOptions). */
-    std::atomic<bool> hardStop_{false};
+    /** Requested at the drain deadline: cancels whatever SIM is
+     *  still in flight (RobustRunOptions::stop of every batch). */
+    std::stop_source hardStop_;
 
     std::mutex connMutex_;
     std::list<Conn> conns_;
+
+    /** Stopped by the last connection handler to finish once drain
+     *  has begun, waking drainConnections(). */
+    StopLatch allClosed_;
 
     std::atomic<std::uint64_t> requests_{0}, gets_{0}, sims_{0},
         errors_{0}, simulatedJobs_{0};

@@ -16,6 +16,7 @@
 #include "common/clock.hh"
 #include "common/flight_recorder.hh"
 #include "common/logging.hh"
+#include "common/stop_latch.hh"
 #include "sim/statusboard.hh"
 #include "telemetry/trace.hh"
 #include "workload/spec_io.hh"
@@ -537,15 +538,14 @@ runCampaign(SimJobRunner &runner, const std::vector<SimJob> &jobs,
         // A heartbeat publisher alongside the workers: with only
         // per-job publishing, one long job would leave the snapshot
         // (and its heartbeat mtime) stale for its whole runtime.
-        std::atomic<bool> status_stop{false};
+        StopLatch status_stop;
         std::thread status_thread;
         if (publisher) {
             status_thread = std::thread([&] {
-                while (!status_stop.load(std::memory_order_relaxed)) {
+                do {
                     publisher->publish(makeSnapshot(false));
-                    std::this_thread::sleep_for(
-                        std::chrono::milliseconds(100));
-                }
+                } while (!status_stop.waitFor(
+                    std::chrono::milliseconds(100)));
             });
         }
 
@@ -553,7 +553,7 @@ runCampaign(SimJobRunner &runner, const std::vector<SimJob> &jobs,
             runner.runRobust(pending, robust);
 
         if (status_thread.joinable()) {
-            status_stop.store(true, std::memory_order_relaxed);
+            status_stop.stop();
             status_thread.join();
         }
 

@@ -11,6 +11,7 @@
 #include "common/flight_recorder.hh"
 #include "common/logging.hh"
 #include "common/random.hh"
+#include "common/stop_latch.hh"
 
 namespace powerchop
 {
@@ -454,64 +455,105 @@ SimJobRunner::runRobust(const std::vector<SimJob> &jobs,
     const auto nowNs = [] { return monotonicNanos(); };
 
     const auto batchCancelled = [&] {
-        return opts.cancelFlag &&
-               opts.cancelFlag->load(std::memory_order_relaxed);
+        return (opts.cancelFlag &&
+                opts.cancelFlag->load(std::memory_order_relaxed)) ||
+               opts.stop.stop_requested() || opts.deadline.expired();
     };
 
-    // Deadlines and the post-cancel drain are enforced by a polling
-    // watchdog rather than by preempting workers: the simulator
-    // checks its cancel flag at block boundaries, so a ~10ms poll
-    // adds at most that much slack to the configured limits. The
-    // watchdog also turns a stuck job into a journaled timeout
-    // record instead of hanging the campaign.
-    std::atomic<bool> watchdog_stop{false};
+    const auto timeout_ns = static_cast<std::int64_t>(
+        opts.timeoutSeconds * 1e9);
+
+    // Raised once a batch cancel's drain grace is over: from then on
+    // every in-flight job is cancelled, including one that armed its
+    // slot after the watchdog's last sweep (workers check this after
+    // arming; seq_cst on both sides means one of them sees the other).
+    std::atomic<bool> cancel_all{false};
+
+    // Deadlines and the post-cancel drain are enforced by a watchdog
+    // rather than by preempting workers: the simulator checks its
+    // cancel flag at block boundaries. The watchdog sleeps until the
+    // earliest thing it has to act on — a job deadline, the batch
+    // deadline, the end of a drain grace — and wakes early when the
+    // batch ends or a stop is requested; only a flag raised by a
+    // signal handler needs its 10ms poll. It also turns a stuck job
+    // into a journaled timeout record instead of hanging the
+    // campaign.
+    StopLatch finished;
+    StopLatch cancelled; // stopped when the watchdog sees a cancel
+    const bool watched = opts.timeoutSeconds > 0 || opts.cancelFlag ||
+                         opts.stop.stop_possible() ||
+                         opts.deadline.armed();
     std::thread watchdog;
-    if (opts.timeoutSeconds > 0 || opts.cancelFlag) {
+    if (watched) {
         watchdog = std::thread([&] {
             const std::int64_t drain_ns =
                 static_cast<std::int64_t>(opts.drainSeconds * 1e9);
+            const std::int64_t batch_deadline_ns =
+                opts.deadline.timePoint().time_since_epoch().count();
             std::int64_t cancel_seen_ns = -1;
-            while (!watchdog_stop.load(std::memory_order_relaxed)) {
+            while (true) {
                 const std::int64_t now = nowNs();
+                std::int64_t next =
+                    std::numeric_limits<std::int64_t>::max();
+                if (opts.cancelFlag)
+                    next = now + 10'000'000;
 
                 // Batch cancellation: give in-flight jobs the drain
                 // grace period, then cancel whatever is still
                 // running.
                 if (batchCancelled()) {
-                    if (cancel_seen_ns < 0)
+                    if (cancel_seen_ns < 0) {
                         cancel_seen_ns = now;
-                    if (now >= cancel_seen_ns + drain_ns) {
-                        for (auto &slot : slots) {
-                            if (slot.deadlineNs.load(
-                                    std::memory_order_relaxed) >= 0) {
-                                slot.cancel.store(
-                                    true, std::memory_order_relaxed);
-                            }
-                        }
+                        cancelled.stop();
                     }
+                    if (now >= cancel_seen_ns + drain_ns) {
+                        cancel_all.store(true);
+                        for (auto &slot : slots) {
+                            if (slot.deadlineNs.load() >= 0)
+                                slot.cancel.store(true);
+                        }
+                    } else {
+                        next = std::min(next, cancel_seen_ns + drain_ns);
+                    }
+                } else if (opts.deadline.armed()) {
+                    next = std::min(next, batch_deadline_ns);
                 }
 
+                // Every job arms its deadline at now + timeout, so a
+                // job that starts while the watchdog sleeps cannot be
+                // due before now + timeout.
                 if (opts.timeoutSeconds > 0) {
+                    next = std::min(next, now + timeout_ns);
                     for (auto &slot : slots) {
                         const std::int64_t deadline =
                             slot.deadlineNs.load(
                                 std::memory_order_relaxed);
-                        if (deadline >= 0 && now >= deadline)
+                        if (deadline < 0)
+                            continue;
+                        if (now >= deadline) {
                             slot.cancel.store(
                                 true, std::memory_order_relaxed);
+                        } else {
+                            next = std::min(next, deadline);
+                        }
                     }
                 }
-                std::this_thread::sleep_for(
-                    std::chrono::milliseconds(10));
+
+                // A stop request already seen has nothing more to
+                // wake us for.
+                if (finished.waitUntil(
+                        std::chrono::steady_clock::time_point(
+                            std::chrono::nanoseconds(next)),
+                        cancel_seen_ns < 0 ? opts.stop
+                                           : std::stop_token())) {
+                    return;
+                }
             }
         });
     }
-
-    const auto timeout_ns = static_cast<std::int64_t>(
-        opts.timeoutSeconds * 1e9);
     const bool audit = auditEveryJob();
 
-    runTasks(jobs.size(), [&](std::size_t i) {
+    const auto task = [&](std::size_t i) {
         const SimJob &job = jobs[i];
         JobOutcome &outcome = batch.outcomes[i];
         Slot &slot = slots[i];
@@ -541,15 +583,16 @@ SimJobRunner::runRobust(const std::vector<SimJob> &jobs,
             if (!run_opts.translationCache)
                 run_opts.translationCache = &transCache_;
             slot.cancel.store(false, std::memory_order_relaxed);
-            if (opts.timeoutSeconds > 0 || opts.cancelFlag) {
+            if (watched) {
                 // The deadline slot doubles as the "in flight" mark
                 // the drain logic keys off; with no per-job timeout
                 // it is set far enough out to never fire on its own.
                 const std::int64_t deadline = opts.timeoutSeconds > 0
                     ? nowNs() + timeout_ns
                     : std::numeric_limits<std::int64_t>::max();
-                slot.deadlineNs.store(deadline,
-                                      std::memory_order_relaxed);
+                slot.deadlineNs.store(deadline);
+                if (cancel_all.load())
+                    slot.cancel.store(true);
                 run_opts.cancelFlag = &slot.cancel;
             }
 
@@ -594,28 +637,34 @@ SimJobRunner::runRobust(const std::vector<SimJob> &jobs,
             // Bounded exponential backoff before the re-attempt. The
             // charged delay is computed, never measured, so reports
             // reproduce bit-identically across worker counts; the
-            // actual wait is sliced so a batch cancel is honoured
-            // promptly.
+            // actual wait ends early when the batch is cancelled.
             const double delay =
                 retryBackoffSeconds(opts, i, attempt + 1);
             outcome.backoffSeconds += delay;
-            double remaining = delay;
-            while (remaining > 0 && !batchCancelled()) {
-                const double slice = std::min(remaining, 0.01);
-                std::this_thread::sleep_for(
-                    std::chrono::duration<double>(slice));
-                remaining -= slice;
-            }
+            cancelled.waitFor(
+                std::chrono::duration_cast<std::chrono::nanoseconds>(
+                    std::chrono::duration<double>(delay)));
         }
 
         if (opts.onComplete)
             opts.onComplete(i, batch.results[i], outcome);
-    });
+    };
 
-    if (watchdog.joinable()) {
-        watchdog_stop.store(true, std::memory_order_relaxed);
-        watchdog.join();
+    // The watchdog is stopped and joined on every way out, including
+    // a throwing onComplete callback, which fails the batch.
+    const auto stopWatchdog = [&] {
+        if (watchdog.joinable()) {
+            finished.stop();
+            watchdog.join();
+        }
+    };
+    try {
+        runTasks(jobs.size(), task);
+    } catch (...) {
+        stopWatchdog();
+        throw;
     }
+    stopWatchdog();
 
     {
         std::lock_guard<std::mutex> lock(mutex_);

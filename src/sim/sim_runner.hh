@@ -26,11 +26,13 @@
 #include <exception>
 #include <functional>
 #include <mutex>
+#include <stop_token>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "bt/translation_cache.hh"
+#include "common/clock.hh"
 #include "common/stats.hh"
 #include "sim/simulator.hh"
 #include "telemetry/profiler.hh"
@@ -112,11 +114,23 @@ struct RobustRunOptions
      *  when the flag rises mid-batch, jobs not yet dispatched report
      *  Skipped immediately, in-flight jobs get drainSeconds to
      *  finish and are then cancelled, reporting Interrupted. Both
-     *  states are resumable — a campaign reruns them on --resume. */
+     *  states are resumable — a campaign reruns them on --resume.
+     *  A signal handler can raise this flag but cannot wake anyone,
+     *  so the watchdog polls it every 10ms while the batch runs. */
     const std::atomic<bool> *cancelFlag = nullptr;
 
-    /** Grace period granted to in-flight jobs after cancelFlag
-     *  rises; 0 cancels them at the next block boundary. */
+    /** Batch wall deadline: once it passes, the batch is cancelled
+     *  exactly as when cancelFlag rises. Unarmed by default. */
+    MonotonicDeadline deadline;
+
+    /** Batch cancellation on request: a stop request cancels the
+     *  batch exactly as cancelFlag does, and wakes the watchdog
+     *  instead of waiting to be polled. */
+    std::stop_token stop;
+
+    /** Grace period granted to in-flight jobs after a batch cancel
+     *  (any of the three sources above); 0 cancels them at the next
+     *  block boundary. */
     double drainSeconds = 0;
 
     /** Invoked on the worker thread as each job reaches a terminal

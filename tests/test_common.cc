@@ -1,11 +1,13 @@
 /**
  * @file
  * Unit tests for the common substrate: logging, RNG, stats, integer
- * math and saturating counters.
+ * math, saturating counters and the stop latch.
  */
 
+#include <chrono>
 #include <cmath>
 #include <set>
+#include <thread>
 
 #include <gtest/gtest.h>
 
@@ -14,6 +16,7 @@
 #include "common/random.hh"
 #include "common/sat_counter.hh"
 #include "common/stats.hh"
+#include "common/stop_latch.hh"
 
 using namespace powerchop;
 
@@ -391,4 +394,40 @@ TEST(Stats, GroupAccessorsSorted)
     ASSERT_EQ(g.scalars().size(), 2u);
     EXPECT_EQ(g.scalars().begin()->first, "alpha");
     EXPECT_TRUE(g.averages().empty());
+}
+
+// --- stop latch ------------------------------------------------------------
+
+TEST(StopLatch, StopWakesAWaiterAtOnce)
+{
+    StopLatch latch;
+    EXPECT_FALSE(latch.waitFor(std::chrono::milliseconds(1)));
+    std::thread stopper([&] {
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        latch.stop();
+    });
+    const auto t0 = std::chrono::steady_clock::now();
+    EXPECT_TRUE(latch.waitFor(std::chrono::seconds(30)));
+    EXPECT_LT(std::chrono::steady_clock::now() - t0,
+              std::chrono::seconds(10));
+    stopper.join();
+    EXPECT_TRUE(latch.waitFor(std::chrono::seconds(30)))
+        << "a stopped latch stays stopped";
+}
+
+TEST(StopLatch, StopRequestOnTheOtherTokenWakesAWaiter)
+{
+    StopLatch latch;
+    std::stop_source other;
+    std::thread requester([&] {
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        other.request_stop();
+    });
+    const auto t0 = std::chrono::steady_clock::now();
+    EXPECT_FALSE(latch.waitUntil(t0 + std::chrono::seconds(30),
+                                 other.get_token()))
+        << "the other token wakes the waiter but does not stop the latch";
+    EXPECT_LT(std::chrono::steady_clock::now() - t0,
+              std::chrono::seconds(10));
+    requester.join();
 }

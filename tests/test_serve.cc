@@ -34,6 +34,7 @@
 #include "sim/machine_config.hh"
 #include "sim/sim_runner.hh"
 #include "workload/suites.hh"
+#include "timing.hh"
 
 using namespace powerchop;
 
@@ -861,6 +862,40 @@ TEST(SimServer, RequestDeadlineCancelsAnInFlightSim)
     EXPECT_GE(rep.deadlineCancels, 1u);
 }
 
+TEST(SimServer, IdleMissesDoNotWaitOnBackgroundThreads)
+{
+    // A miss on an idle daemon costs its simulation plus what a hit
+    // on the same request costs, not the sleep tick of a thread
+    // joined at the end of its batch. Bound: the median miss takes
+    // under 5ms (20 misses in 100ms) more than the median hit plus
+    // the median direct simulate(), so slow sanitizer builds pass
+    // too. No journal, so no fsync either.
+    constexpr int kRequests = 20;
+    const double direct = medianSeconds(kRequests, [](int i) {
+        SimOptions sopts;
+        sopts.mode = SimMode::FullPower;
+        sopts.maxInstructions = 1'000 + i;
+        simulate(serverConfig(), findWorkload(kWorkloads[0]), sopts);
+    });
+
+    const std::string dir = freshDir("idle-miss");
+    ServeOptions opts = unixOptions(dir);
+    opts.cache.journalPath.clear();
+    ServerFixture server(opts);
+    ServeClient c = server.client();
+    const auto request = [&](int i, ResponseStatus want) {
+        const ServeReply reply = c.sim(formatSimSpec(
+            kWorkloads, kMachines, {"full-power"}, 1'000 + i, 0));
+        EXPECT_FALSE(reply.ioFailed) << reply.error;
+        EXPECT_EQ(reply.status, want) << reply.payload;
+    };
+    const double miss = medianSeconds(
+        kRequests, [&](int i) { request(i, ResponseStatus::Ok); });
+    const double hit = medianSeconds(
+        kRequests, [&](int i) { request(i, ResponseStatus::Hit); });
+    EXPECT_LT(miss - hit - direct, 0.005);
+}
+
 TEST(SimServer, GracefulDrainFinishesInFlightRequests)
 {
     const std::string dir = freshDir("drain");
@@ -882,6 +917,30 @@ TEST(SimServer, GracefulDrainFinishesInFlightRequests)
     EXPECT_EQ(reply.status, ResponseStatus::Ok) << reply.payload;
     EXPECT_EQ(rep.droppedInFlight, 0u)
         << "drain must not abandon an in-flight request";
+}
+
+TEST(SimServer, DrainDeadlineCancelsAnInFlightSim)
+{
+    const std::string dir = freshDir("hard-stop");
+    ServeOptions opts = unixOptions(dir);
+    opts.drainSeconds = 0.05;
+    ServerFixture server(opts);
+
+    // A sim that would run for many seconds is still in flight when
+    // the drain grace runs out: the hard stop must cancel it rather
+    // than wait it out, and count the abandoned request.
+    ServeClient c = server.client();
+    ServeReply reply;
+    std::thread inflight([&] {
+        reply = c.sim(formatSimSpec(kWorkloads, kMachines,
+                                    {"full-power"}, 500'000'000, 0));
+    });
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    const double t0 = monotonicSeconds();
+    const ServeReport &rep = server.stopAndJoin();
+    inflight.join();
+    EXPECT_LT(monotonicSeconds() - t0, 2.0);
+    EXPECT_EQ(rep.droppedInFlight, 1u);
 }
 
 TEST(SimServer, ClientRetriesAcrossAServerRestart)

@@ -6,6 +6,7 @@
  * propagation, and the environment-override parsers.
  */
 
+#include <atomic>
 #include <cstdlib>
 #include <gtest/gtest.h>
 
@@ -13,6 +14,7 @@
 #include "sim/experiment.hh"
 #include "sim/sim_runner.hh"
 #include "workload/suites.hh"
+#include "timing.hh"
 
 using namespace powerchop;
 
@@ -214,6 +216,33 @@ TEST(SimJobRunner, JobExceptionsPropagate)
     EXPECT_THROW(runner.run({good, bad, good}), FatalError);
     // The runner survives a failed batch.
     EXPECT_EQ(runner.run({good}).size(), 1u);
+}
+
+TEST(SimJobRunner, RobustBatchesDoNotWaitOutTheWatchdog)
+{
+    // A batch with a cancel flag runs a watchdog that it joins on the
+    // way out; the join must cost a wake-up, not the rest of the
+    // watchdog's 10ms poll. Bound: the median batch takes under 5ms
+    // (50 batches in 250ms) more than a direct simulate() of its job,
+    // so slow sanitizer builds pass too.
+    SimJob job;
+    job.machine = serverConfig();
+    job.workload = smallWorkload();
+    job.opts.maxInstructions = 1'000;
+    const std::vector<SimJob> jobs = {job};
+    std::atomic<bool> cancel{false};
+    RobustRunOptions opts;
+    opts.cancelFlag = &cancel;
+    constexpr int kBatches = 50;
+
+    const double direct = medianSeconds(kBatches, [&](int) {
+        simulate(job.machine, job.workload, job.opts);
+    });
+    SimJobRunner runner(1);
+    const double batch = medianSeconds(kBatches, [&](int) {
+        EXPECT_TRUE(runner.runRobust(jobs, opts).allOk());
+    });
+    EXPECT_LT(batch - direct, 0.005);
 }
 
 // --- batch comparison helpers ------------------------------------------------

@@ -104,7 +104,7 @@ TEST(Subprocess, ReadAvailableNeverBlocks)
     // A child that stays silent must not stall the caller: the
     // supervisor's event loop polls dozens of workers per tick.
     Subprocess p;
-    p.spawn(shell("sleep 10"));
+    p.spawn(shell("exec sleep 10"));
     const double t0 = monotonicSeconds();
     EXPECT_EQ(p.readAvailable(), "");
     EXPECT_LT(monotonicSeconds() - t0, 1.0);
@@ -144,7 +144,7 @@ TEST(Subprocess, FatalSignalIsClassifiedApartFromExit)
 TEST(Subprocess, KillHardReapsAndPollStaysTerminal)
 {
     Subprocess p;
-    p.spawn(shell("sleep 30"));
+    p.spawn(shell("exec sleep 30"));
     EXPECT_TRUE(p.poll().running());
     p.killHard();
     const ExitStatus st = p.poll();
@@ -206,7 +206,7 @@ TEST(Subprocess, WaitTimeoutLeavesChildRunning)
     // straggler to re-dispatch or a hang to SIGKILL is the
     // supervisor's call.
     Subprocess p;
-    p.spawn(shell("sleep 30"));
+    p.spawn(shell("exec sleep 30"));
     const double t0 = monotonicSeconds();
     const ExitStatus st = p.wait(0.05);
     EXPECT_TRUE(st.running());
@@ -223,7 +223,7 @@ TEST(Subprocess, DestructorContainsRunningChild)
     const double t0 = monotonicSeconds();
     {
         Subprocess p;
-        p.spawn(shell("sleep 30"));
+        p.spawn(shell("exec sleep 30"));
         EXPECT_TRUE(p.poll().running());
     }
     EXPECT_LT(monotonicSeconds() - t0, 5.0);

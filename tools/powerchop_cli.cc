@@ -79,6 +79,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -165,6 +166,26 @@ class UsageError : public std::runtime_error
     {
     }
 };
+
+/**
+ * A time-valued flag (--*-seconds, --interval). The whole value must
+ * parse as a finite number of seconds in [0, 1e9] (about 31 years;
+ * the ceiling keeps every nanosecond deadline derived from it in
+ * range), otherwise it is a usage error.
+ */
+double
+parseSeconds(const char *flag, const std::string &text)
+{
+    char *end = nullptr;
+    const double v = std::strtod(text.c_str(), &end);
+    if (text.empty() || end != text.c_str() + text.size() ||
+        !std::isfinite(v) || v < 0 || v > 1e9) {
+        throw UsageError(csprintf(
+            "%s wants a number of seconds in [0, 1e9], got '%s'", flag,
+            text.c_str()));
+    }
+    return v;
+}
 
 WorkloadSpec
 resolveWorkload(const std::string &arg)
@@ -266,6 +287,9 @@ parseOptions(const std::vector<std::string> &rest)
                 fatal("%s requires a value", what);
             return rest[++i];
         };
+        auto seconds = [&](const char *what) {
+            return parseSeconds(what, need(what));
+        };
         if (rest[i] == "--machine")
             a.machine = need("--machine");
         else if (rest[i] == "--mode") {
@@ -305,11 +329,9 @@ parseOptions(const std::vector<std::string> &rest)
         else if (rest[i] == "--inspect")
             a.inspect = true;
         else if (rest[i] == "--timeout-seconds")
-            a.timeoutSeconds =
-                std::strtod(need("--timeout-seconds").c_str(), nullptr);
+            a.timeoutSeconds = seconds("--timeout-seconds");
         else if (rest[i] == "--drain-seconds")
-            a.drainSeconds =
-                std::strtod(need("--drain-seconds").c_str(), nullptr);
+            a.drainSeconds = seconds("--drain-seconds");
         else if (rest[i] == "--retries")
             a.retries = static_cast<unsigned>(
                 std::strtoul(need("--retries").c_str(), nullptr, 10));
@@ -320,8 +342,7 @@ parseOptions(const std::vector<std::string> &rest)
             a.maxRestarts = static_cast<unsigned>(std::strtoul(
                 need("--max-restarts").c_str(), nullptr, 10));
         else if (rest[i] == "--heartbeat-seconds")
-            a.heartbeatSeconds = std::strtod(
-                need("--heartbeat-seconds").c_str(), nullptr);
+            a.heartbeatSeconds = seconds("--heartbeat-seconds");
         else if (rest[i] == "--no-redispatch")
             a.redispatch = false;
         else if (rest[i] == "--journal")
@@ -331,8 +352,7 @@ parseOptions(const std::vector<std::string> &rest)
         else if (rest[i] == "--prom")
             a.prom = true;
         else if (rest[i] == "--interval")
-            a.intervalSeconds =
-                std::strtod(need("--interval").c_str(), nullptr);
+            a.intervalSeconds = seconds("--interval");
         else if (rest[i] == "--socket")
             a.socket = need("--socket");
         else if (rest[i] == "--port")
@@ -355,17 +375,14 @@ parseOptions(const std::vector<std::string> &rest)
             a.backlog = static_cast<int>(std::strtol(
                 need("--backlog").c_str(), nullptr, 10));
         else if (rest[i] == "--idle-timeout-seconds")
-            a.idleTimeoutSeconds = std::strtod(
-                need("--idle-timeout-seconds").c_str(), nullptr);
+            a.idleTimeoutSeconds = seconds("--idle-timeout-seconds");
         else if (rest[i] == "--read-timeout-seconds")
-            a.readTimeoutSeconds = std::strtod(
-                need("--read-timeout-seconds").c_str(), nullptr);
+            a.readTimeoutSeconds = seconds("--read-timeout-seconds");
         else if (rest[i] == "--write-timeout-seconds")
-            a.writeTimeoutSeconds = std::strtod(
-                need("--write-timeout-seconds").c_str(), nullptr);
+            a.writeTimeoutSeconds = seconds("--write-timeout-seconds");
         else if (rest[i] == "--request-deadline-seconds")
-            a.requestDeadlineSeconds = std::strtod(
-                need("--request-deadline-seconds").c_str(), nullptr);
+            a.requestDeadlineSeconds =
+                seconds("--request-deadline-seconds");
         else if (rest[i] == "--compact-ratio")
             a.compactRatio = std::strtod(
                 need("--compact-ratio").c_str(), nullptr);
@@ -1176,17 +1193,15 @@ cmdCampaignWorker(const std::string &dir, const Args &a)
     };
     emit(csprintf("ready %zu", jobs.size()));
 
-    std::atomic<bool> hb_stop{false};
+    StopLatch hb_stop;
     std::thread heartbeat([&] {
-        // ~500ms cadence keeps hang detection cheap and prompt; the
-        // 100ms slices keep worker exit snappy. The statusboard rides
-        // the same ticks (its publisher gates itself to the cadence
+        // ~500ms cadence keeps hang detection cheap and prompt; worker
+        // exit wakes the wait at once. The statusboard rides the same
+        // 100ms ticks (its publisher gates itself to the cadence
         // floor), so MIPS and heartbeat age stay fresh even while a
         // long job is in flight.
         int tick = 0;
-        while (!hb_stop.load(std::memory_order_relaxed)) {
-            std::this_thread::sleep_for(
-                std::chrono::milliseconds(100));
+        while (!hb_stop.waitFor(std::chrono::milliseconds(100))) {
             if (publisher)
                 publisher->publish(makeSnapshot(false));
             if (++tick >= 5) {
@@ -1271,7 +1286,7 @@ cmdCampaignWorker(const std::string &dir, const Args &a)
     const ShardRunResult res =
         runCampaignShard(runner, jobs, a.journal, sopts);
 
-    hb_stop.store(true, std::memory_order_relaxed);
+    hb_stop.stop();
     heartbeat.join();
     if (publisher)
         publisher->publish(makeSnapshot(true), true);
