@@ -2,16 +2,12 @@
 
 #include <atomic>
 #include <limits>
-#include <optional>
 
 #include "bt/translation_cache.hh"
 #include "common/logging.hh"
 #include "common/malloc_tuning.hh"
-#include "core/drowsy_mlc.hh"
-#include "core/perf_monitor.hh"
-#include "telemetry/metrics.hh"
+#include "sim/sim_machine.hh"
 #include "telemetry/profiler.hh"
-#include "telemetry/trace.hh"
 #include "verify/invariant_auditor.hh"
 #include "workload/spec_io.hh"
 
@@ -45,143 +41,25 @@ simulate(const MachineConfig &machine, const WorkloadSpec &workload,
     if (opts.maxInstructions == 0)
         fatal("simulate: zero instruction budget");
 
-    // --- Build the machine -------------------------------------------------
     telemetry::StageProfiler *profiler = opts.profiler;
     if (!profiler && telemetry::StageProfiler::global().enabled())
         profiler = &telemetry::StageProfiler::global();
     telemetry::ScopedStageTimer translate_timer(profiler, "translate");
-    WorkloadGenerator gen(workload);
-    BtParams bt_params = machine.bt;
-    BtSystem bt(gen.program(), bt_params);
 
     // Shared translation metadata: jobs of the same workload in a
     // batch derive the trace metadata once and share it. Purely a
     // build-cost optimization — the translator produces bit-identical
-    // translations either way.
+    // translations either way. Declared first: the machine keeps a
+    // pointer to it.
     std::shared_ptr<const TranslationMetadataSet> trans_meta;
+    SimMachine sim(machine, workload, opts);
+    WorkloadGenerator &gen = sim.gen();
     if (opts.translationCache) {
         trans_meta = opts.translationCache->acquire(
             workloadContentKey(workload), gen.program(),
-            bt_params.translator);
-        bt.setTranslationMetadata(trans_meta.get());
+            machine.bt.translator);
+        sim.bt().setTranslationMetadata(trans_meta.get());
     }
-    BpuComplex bpu(machine.bpu);
-    MemHierarchy mem(machine.l1, machine.mlc);
-    Vpu vpu(machine.vpu);
-    GatingController controller(vpu, bpu, mem, machine.penalties);
-    PerfMonitor monitor(bpu, mem);
-    PowerChopUnit pchop(machine.powerChop, controller, bt.nucleus(),
-                        monitor);
-
-    // Per-run fault source: seeded from the config, private to this
-    // call, so fault sequences are deterministic on any worker count.
-    FaultInjector injector(machine.faults);
-    if (injector.active()) {
-        controller.setFaultInjector(&injector);
-        pchop.setFaultInjector(&injector);
-    }
-
-    TimeoutParams to_params = machine.timeout;
-    if (opts.timeoutCycles > 0)
-        to_params.timeoutCycles = opts.timeoutCycles;
-    TimeoutGater timeout(vpu, to_params);
-    DrowsyMlc drowsy(mem, machine.drowsy);
-
-    CorePowerModel power_model(machine.power);
-
-    const CoreParams &core = machine.core;
-    const double slot = 1.0 / core.issueWidth;
-
-    const bool use_powerchop = opts.mode == SimMode::PowerChop;
-    const bool use_timeout = opts.mode == SimMode::TimeoutVpu;
-    const bool use_drowsy = opts.mode == SimMode::DrowsyMlc;
-
-    if (use_powerchop) {
-        pchop.setManagedUnits(opts.manageVpu, opts.manageBpu,
-                              opts.manageMlc);
-        if (opts.windowObserver)
-            pchop.setWindowObserver(opts.windowObserver);
-    }
-
-    // --- Telemetry ---------------------------------------------------------
-    telemetry::TraceRecorder *trace = opts.trace;
-    if (trace) {
-        trace->beginRun(workload.name, machine.name,
-                        simModeName(opts.mode), machine.telemetry);
-        controller.setTrace(trace);
-        pchop.setTrace(trace);
-        if (injector.active())
-            injector.setTrace(trace);
-    }
-
-    // The registry's probes reference the collector below; detach
-    // them whenever this frame unwinds (including cancellation) so
-    // the registry never outlives its probed objects.
-    struct ProbeDetachGuard
-    {
-        telemetry::MetricsRegistry *registry = nullptr;
-        ~ProbeDetachGuard()
-        {
-            if (registry)
-                registry->detachProbes();
-        }
-    } probe_guard;
-
-    std::optional<telemetry::WindowMetricsCollector> collector;
-    if (opts.metrics && use_powerchop) {
-        collector.emplace(*opts.metrics, &power_model,
-                          core.frequencyHz, machine.mlc.assoc);
-        pchop.setMetricsCollector(&*collector);
-        probe_guard.registry = opts.metrics;
-    }
-
-    SimResult res;
-    res.workload = workload.name;
-    res.machine = machine.name;
-    res.mode = opts.mode;
-
-    Cycles cycles = 0;
-
-    // Residency accounting: accrue() charges elapsed cycles to the
-    // policy in effect when they elapsed; transition stalls are
-    // charged to the *new* policy (last_accrue is left at the
-    // pre-stall time), so per-unit residencies always sum to the
-    // run's total cycles — the conservation law the invariant
-    // auditor checks.
-    Cycles last_accrue = 0;
-
-    if (opts.mode == SimMode::MinPower) {
-        // Everything to its lowest-power state for the entire run.
-        cycles += controller.applyPolicy(GatingPolicy::minPower());
-    } else if (opts.mode == SimMode::StaticPolicy) {
-        cycles += controller.applyPolicy(opts.staticPolicy);
-    }
-
-    // --- Activity counters --------------------------------------------------
-    ActivityRecord act;
-    std::uint64_t branch_lookups = 0;
-    std::uint64_t branch_mispredicts = 0;
-    std::uint64_t bpu_large_lookups = 0;
-    std::uint64_t mlc_accesses = 0;
-
-    // Translation attribution: instructions since the last translated
-    // head, credited to that translation at the next head.
-    TranslationId last_trans = invalidTranslationId;
-    std::uint64_t insns_since_head = 0;
-
-    // Multi-block trace execution: while the dynamic block sequence
-    // matches the current translation's trace, execution stays inside
-    // it — no region-cache lookup and no new translation-head event
-    // until the trace exits (side exit or completion).
-    const Translation *cur_trace = nullptr;
-    std::size_t trace_idx = 0;
-
-    // Stream detector for the MLP/prefetch model: misses adjacent to
-    // the previous miss are largely hidden.
-    Addr last_miss_line = ~static_cast<Addr>(0);
-    const Addr line_shift = 6;
-
-    bool interpreting = true;
 
     // The per-interval sampler as a countdown: one predictable
     // decrement-and-test per instruction, and the std::function is
@@ -194,15 +72,9 @@ simulate(const MachineConfig &machine, const WorkloadSpec &workload,
 
     // Cached destination for the per-policy MLC access counters,
     // refreshed only when the controller's MLC policy epoch moves.
+    ActivityRecord &act = sim.activity();
     double *mlc_counter = &act.mlcAccessesFull;
     std::uint64_t mlc_epoch = std::numeric_limits<std::uint64_t>::max();
-
-    auto accrue = [&]() {
-        if (cycles > last_accrue) {
-            controller.accrue(cycles - last_accrue);
-            last_accrue = cycles;
-        }
-    };
 
     translate_timer.stop();
 
@@ -242,53 +114,7 @@ simulate(const MachineConfig &machine, const WorkloadSpec &workload,
     InsnCount n = 0;
     while (n < max_insns) {
         check_cancel(n);
-        {
-            const BlockId blk = gen.currentBlock();
-
-            if (cur_trace && trace_idx < cur_trace->blocks.size() &&
-                cur_trace->blocks[trace_idx] == blk) {
-                // Still on the translated trace's expected path.
-                ++trace_idx;
-                interpreting = false;
-            } else {
-                cur_trace = nullptr;
-                RegionEntry entry = bt.enterRegion(blk);
-                cycles += entry.extraCycles;
-                interpreting = (entry.mode == ExecMode::Interpreted);
-
-                if (entry.mode == ExecMode::Translated) {
-                    // Credit the instructions executed since the
-                    // previous head to that translation, then roll
-                    // the HTB.
-                    if (use_powerchop &&
-                        last_trans != invalidTranslationId) {
-                        accrue();
-                        if (trace)
-                            trace->setNow(n, cycles);
-                        cycles += pchop.onTranslationHead(
-                            last_trans, insns_since_head, cycles);
-                    }
-                    last_trans = entry.translation->id;
-                    insns_since_head = 0;
-                    cur_trace = entry.translation;
-                    trace_idx = 1;
-                } else {
-                    last_trans = invalidTranslationId;
-                    insns_since_head = 0;
-                }
-            }
-
-            if (use_timeout) {
-                accrue();
-                cycles += timeout.checkIdle(cycles);
-            }
-            if (use_drowsy)
-                drowsy.tick(cycles);
-        }
-
-        // Execution mode is fixed for the whole block.
-        const double insn_cycles =
-            interpreting ? core.interpreterCpi : slot;
+        sim.enterBlock(gen.currentBlock(), n);
 
         // The burst executes the pre-decoded slot stream directly
         // (workload/block_batch.hh). Program order is preserved slot
@@ -301,7 +127,6 @@ simulate(const MachineConfig &machine, const WorkloadSpec &workload,
         InsnCount burst = remaining_in_block;
         if (burst > max_insns - n)
             burst = max_insns - n;
-        insns_since_head += burst;
         const bool full_block = (burst == remaining_in_block);
 
         // Offset into the block when resuming mid-block (only after a
@@ -338,14 +163,13 @@ simulate(const MachineConfig &machine, const WorkloadSpec &workload,
                         chunk = until_sample;
                     if (chunk > until_cancel)
                         chunk = until_cancel;
-                    for (InsnCount k = 0; k != chunk; ++k)
-                        cycles += insn_cycles;
+                    sim.issue(chunk);
                     n += chunk;
                     m -= chunk;
                     until_sample -= chunk;
                     until_cancel -= chunk;
                     if (until_sample == 0) {
-                        opts.sampler(n, cycles);
+                        opts.sampler(n, sim.cycles());
                         until_sample = sample_interval;
                     }
                     if (until_cancel == 0) {
@@ -361,48 +185,20 @@ simulate(const MachineConfig &machine, const WorkloadSpec &workload,
                 continue;
             }
 
-            cycles += insn_cycles;
+            sim.issue();
 
             switch (s->kind) {
-              case SlotKind::Simd: {
-                if (use_timeout)
-                    cycles += timeout.onSimdUse(cycles);
-                double slots = vpu.executeSimd();
-                if (slots > 1.0) {
-                    // Scalar emulation: the extra scalar ops occupy
-                    // issue slots (and energy) in the rest of the
-                    // core.
-                    cycles += (slots - 1.0) * slot;
-                    act.instructions += slots - 1.0;
-                }
+              case SlotKind::Simd:
+                sim.simd();
                 ++simd_committed;
                 break;
-              }
               case SlotKind::Load:
-              case SlotKind::Store: {
-                const bool is_store = (s->kind == SlotKind::Store);
-                const Addr eff_addr = gen.batchMemAddr();
-                MemAccessResult r = mem.access(eff_addr, is_store);
-                double scale = is_store ? core.storeStallFraction : 1.0;
-                if (r.level == MemLevel::Mlc) {
-                    cycles += core.mlcHitPenalty * scale;
-                    if (r.mlcWokeDrowsy)
-                        cycles +=
-                            machine.drowsy.wakePenaltyCycles * scale;
-                } else if (r.level == MemLevel::Memory) {
-                    Addr line = eff_addr >> line_shift;
-                    Addr delta = line > last_miss_line
-                        ? line - last_miss_line : last_miss_line - line;
-                    bool streamed = delta <= 2;
-                    last_miss_line = line;
-                    cycles += core.memoryPenalty * scale *
-                              (streamed ? core.streamMissFactor : 1.0);
-                }
-                if (r.level != MemLevel::L1) {
-                    ++mlc_accesses;
-                    if (mlc_epoch != controller.mlcPolicyEpoch()) {
-                        mlc_epoch = controller.mlcPolicyEpoch();
-                        switch (controller.current().mlc) {
+              case SlotKind::Store:
+                if (sim.memAccess(gen.batchMemAddr(),
+                                  s->kind == SlotKind::Store)) {
+                    if (mlc_epoch != sim.controller().mlcPolicyEpoch()) {
+                        mlc_epoch = sim.controller().mlcPolicyEpoch();
+                        switch (sim.controller().current().mlc) {
                           case MlcPolicy::AllWays:
                             mlc_counter = &act.mlcAccessesFull;
                             break;
@@ -420,24 +216,12 @@ simulate(const MachineConfig &machine, const WorkloadSpec &workload,
                     *mlc_counter += 1;
                 }
                 break;
-              }
-              case SlotKind::Branch: {
+              case SlotKind::Branch:
                 // Internal conditional branch: outcome from its
                 // process, target a short forward skip.
-                const bool taken = gen.batchBranchOutcome(*s);
-                BpuOutcome o = bpu.predict(s->pc, taken,
-                                           s->pc + 2 * guestInsnBytes);
-                ++branch_lookups;
-                if (bpu.largeOn())
-                    ++bpu_large_lookups;
-                if (o.directionMispredict) {
-                    cycles += core.mispredictPenalty;
-                    ++branch_mispredicts;
-                } else if (o.targetMiss) {
-                    cycles += core.btbMissPenalty;
-                }
+                sim.branch(s->pc, gen.batchBranchOutcome(*s),
+                           s->pc + 2 * guestInsnBytes);
                 break;
-              }
               case SlotKind::AluRun:
                 break;  // handled above
             }
@@ -445,7 +229,7 @@ simulate(const MachineConfig &machine, const WorkloadSpec &workload,
             ++n;
             --left;
             if (--until_sample == 0) {
-                opts.sampler(n, cycles);
+                opts.sampler(n, sim.cycles());
                 until_sample = sample_interval;
             }
             if (--until_cancel == 0) {
@@ -461,15 +245,12 @@ simulate(const MachineConfig &machine, const WorkloadSpec &workload,
             // costs a fetch bubble. batchFinishBlock() draws the
             // next-block pick after the body's address draws, as the
             // pull model does, and rolls the schedule.
-            cycles += insn_cycles;
-            const Addr target = gen.batchFinishBlock();
-            BpuOutcome o = bpu.predictIndirect(db.termPc, target);
-            if (o.targetMiss)
-                cycles += core.btbMissPenalty;
+            sim.issue();
+            sim.terminator(db.termPc, gen.batchFinishBlock());
             ++n;
             --left;
             if (--until_sample == 0) {
-                opts.sampler(n, cycles);
+                opts.sampler(n, sim.cycles());
                 until_sample = sample_interval;
             }
             if (--until_cancel == 0) {
@@ -482,137 +263,20 @@ simulate(const MachineConfig &machine, const WorkloadSpec &workload,
 
         // Window counters are only read at block heads, so the whole
         // burst commits in one bulk update.
-        monitor.onCommitBulk(burst, simd_committed);
+        sim.monitor().onCommitBulk(burst, simd_committed);
     }
 
     simulate_timer.stop();
 
-    // Flush the trailing attribution: instructions executed after the
-    // final translation head would otherwise never be credited to it,
-    // silently losing the last HTB window/phase of every run.
-    if (use_powerchop && last_trans != invalidTranslationId &&
-        insns_since_head > 0) {
-        accrue();
-        if (trace)
-            trace->setNow(n, cycles);
-        cycles +=
-            pchop.onTranslationHead(last_trans, insns_since_head, cycles);
-        insns_since_head = 0;
-    }
-
-    accrue();
-    if (use_timeout)
-        timeout.finish(cycles);
-    if (use_drowsy)
-        drowsy.finish(cycles);
-
-    if (trace) {
-        trace->setNow(n, cycles);
-        trace->endRun(n, cycles);
-    }
-
-    // --- Collect results -----------------------------------------------------
-    // All divisions below are guarded: a short run keeps every rate
-    // finite, and a default/failed result stays all-zero instead of
-    // propagating NaNs into downstream tables.
-    auto per = [](double num, double den) {
-        return den > 0 ? num / den : 0.0;
-    };
-
-    res.instructions = n;
-    res.cycles = cycles;
-    res.seconds = per(cycles, core.frequencyHz);
-
-    res.gating = controller.stats();
-    if (use_timeout) {
-        res.gating.vpuSwitches = timeout.switches();
-        res.gating.vpuGatedCycles = timeout.gatedCycles();
-    }
-
-    res.vpuGatedFraction = per(res.gating.vpuGatedCycles, cycles);
-    res.bpuGatedFraction = per(res.gating.bpuGatedCycles, cycles);
-    res.mlcHalfFraction = per(res.gating.mlcHalfCycles, cycles);
-    res.mlcQuarterFraction = per(res.gating.mlcQuarterCycles, cycles);
-    res.mlcOneWayFraction = per(res.gating.mlcOneWayCycles, cycles);
-
-    const double mcycles = cycles / 1e6;
-    res.vpuSwitchesPerMcycle = per(res.gating.vpuSwitches, mcycles);
-    res.bpuSwitchesPerMcycle = per(res.gating.bpuSwitches, mcycles);
-    res.mlcSwitchesPerMcycle = per(res.gating.mlcSwitches, mcycles);
-
-    res.pvtLookups = pchop.pvt().lookups();
-    res.pvtHits = pchop.pvt().hits();
-
-    // Resilience observability: what the fault injector actually did
-    // and how often the QoS watchdog had to roll back. All zero (and
-    // absent from renderings) in a fault-free run.
-    res.faults = injector.stats();
-    const QosStats &qos = pchop.qos().stats();
-    res.safeModeActivations = qos.safeModeActivations;
-    res.safeModeWindowFraction = qos.windowsObserved
-        ? static_cast<double>(qos.safeModeWindows) /
-              qos.windowsObserved
-        : 0.0;
-    res.translationsExecuted = pchop.translationsSeen();
-    res.pvtMissPerTranslation = res.translationsExecuted
-        ? static_cast<double>(pchop.pvt().misses()) /
-              res.translationsExecuted
-        : 0.0;
-
-    res.l1HitRate = mem.l1().hitRate();
-    res.mlcHitRate = mem.mlc().hitRate();
-    res.mlcAccesses = mlc_accesses;
-    res.mlcAccessesPerKilo =
-        per(1000.0 * mlc_accesses, res.instructions);
-
-    res.branchLookups = branch_lookups;
-    res.branchMispredicts = branch_mispredicts;
-    res.branchMispredictRate =
-        per(branch_mispredicts, branch_lookups);
-    res.branchesPerKilo =
-        per(1000.0 * branch_lookups, res.instructions);
-
-    res.simdOps = vpu.nativeOps();
-    res.simdEmulated = vpu.emulatedOps();
-
-    if (use_drowsy) {
-        res.mlcDrowsyFraction = drowsy.avgDrowsyFraction();
-        res.drowsyWakes = mem.mlc().drowsyWakes();
-        act.mlcDrowsyFraction = res.mlcDrowsyFraction;
-        act.drowsyLeakageFraction =
-            machine.drowsy.drowsyLeakageFraction;
-    }
-
-    // --- Energy --------------------------------------------------------------
-    act.cycles = cycles;
-    act.instructions += res.instructions;
-    act.vpuOps = static_cast<double>(vpu.nativeOps());
-    act.bpuLargeLookups = static_cast<double>(bpu_large_lookups);
-    act.vpuGatedCycles = res.gating.vpuGatedCycles;
-    act.bpuGatedCycles = res.gating.bpuGatedCycles;
-    act.mlcFullCycles = res.gating.mlcFullCycles;
-    act.mlcHalfCycles = res.gating.mlcHalfCycles;
-    act.mlcQuarterCycles = res.gating.mlcQuarterCycles;
-    act.mlcOneWayCycles = res.gating.mlcOneWayCycles;
-    if (use_timeout) {
-        act.vpuGatedCycles = timeout.gatedCycles();
-        act.vpuSwitches = static_cast<double>(timeout.switches());
-        act.mlcFullCycles = cycles;
-    } else {
-        act.vpuSwitches = static_cast<double>(res.gating.vpuSwitches);
-    }
-    act.bpuSwitches = static_cast<double>(res.gating.bpuSwitches);
-    act.mlcSwitches = static_cast<double>(res.gating.mlcSwitches);
-
-    res.slotOps = act.instructions;
-    res.activity = act;
-    res.energy = accumulateEnergy(power_model, act, machine.mlc.assoc);
+    sim.finish(n);
+    SimResult res = sim.result(n);
 
     if (opts.audit) {
         verify::InvariantAuditor auditor;
         verify::AuditReport audit = auditor.audit(res, machine);
-        if (trace) {
-            for (const auto &v : auditor.auditTrace(*trace).violations)
+        if (opts.trace) {
+            for (const auto &v :
+                 auditor.auditTrace(*opts.trace).violations)
                 audit.violations.push_back(v);
         }
         if (!audit.ok()) {

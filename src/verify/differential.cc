@@ -83,8 +83,8 @@ machineByName(const std::string &name)
           name.c_str());
 }
 
-/** The default fault mix a non-zero seed enables: every fault class
- *  at a rate that fires tens of times in a 200k-instruction run. */
+} // namespace
+
 void
 enableFaults(MachineConfig &machine, std::uint64_t seed)
 {
@@ -96,8 +96,6 @@ enableFaults(MachineConfig &machine, std::uint64_t seed)
     machine.faults.controllerFlipRate = 0.02;
     machine.faults.wakeupStretchRate = 0.05;
 }
-
-} // namespace
 
 DifferentialOutcome
 runDifferentialCase(const DifferentialCase &diffCase, InsnCount insns)

@@ -73,6 +73,10 @@ struct DifferentialReport
     std::string toString() const;
 };
 
+/** The fault mix a non-zero fault seed enables: every fault class at
+ *  a rate that fires tens of times in a 200k-instruction run. */
+void enableFaults(MachineConfig &machine, std::uint64_t seed);
+
 /**
  * Run one differential case.
  *

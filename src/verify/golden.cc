@@ -1,11 +1,12 @@
 #include "verify/golden.hh"
 
+#include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 
 #include "common/atomic_file.hh"
+#include "common/json.hh"
 #include "common/logging.hh"
 
 namespace powerchop
@@ -13,119 +14,30 @@ namespace powerchop
 namespace verify
 {
 
-namespace
-{
-
-/** Cursor over JSON text with the few scanning helpers the flat
- *  grammar needs. */
-struct Scanner
-{
-    const std::string &text;
-    const std::string &who;
-    std::size_t pos = 0;
-
-    [[noreturn]] void
-    fail(const std::string &what) const
-    {
-        throw GoldenParseError(
-            csprintf("%s: offset %zu: %s", who.c_str(), pos, what.c_str()));
-    }
-
-    void
-    skipWs()
-    {
-        while (pos < text.size() &&
-               (text[pos] == ' ' || text[pos] == '\t' ||
-                text[pos] == '\n' || text[pos] == '\r'))
-            ++pos;
-    }
-
-    char
-    peek()
-    {
-        skipWs();
-        if (pos >= text.size())
-            fail("unexpected end of input");
-        return text[pos];
-    }
-
-    void
-    expect(char c)
-    {
-        if (peek() != c)
-            fail(csprintf("expected '%c', found '%c'", c, text[pos]));
-        ++pos;
-    }
-
-    /** Parse a JSON string literal (escape sequences are passed
-     *  through verbatim except \" and \\ — golden values are metric
-     *  names and mode strings, never exotic text). */
-    std::string
-    parseString()
-    {
-        expect('"');
-        std::string out;
-        while (pos < text.size() && text[pos] != '"') {
-            if (text[pos] == '\\' && pos + 1 < text.size()) {
-                ++pos;
-                switch (text[pos]) {
-                  case '"': out += '"'; break;
-                  case '\\': out += '\\'; break;
-                  case 'n': out += '\n'; break;
-                  case 't': out += '\t'; break;
-                  default: out += '\\'; out += text[pos]; break;
-                }
-            } else {
-                out += text[pos];
-            }
-            ++pos;
-        }
-        if (pos >= text.size())
-            fail("unterminated string");
-        ++pos; // closing quote
-        return out;
-    }
-
-    double
-    parseNumber()
-    {
-        skipWs();
-        const char *start = text.c_str() + pos;
-        char *end = nullptr;
-        double v = std::strtod(start, &end);
-        if (end == start)
-            fail("expected a number");
-        pos += end - start;
-        return v;
-    }
-};
-
-} // namespace
-
 FlatJson
 parseFlatJson(const std::string &text, const std::string &who)
 {
-    Scanner s{text, who};
-    FlatJson out;
-
-    s.expect('{');
-    if (s.peek() == '}') {
-        ++s.pos;
-        return out;
+    json::Value doc;
+    std::string error;
+    if (!json::parse(text, doc, &error))
+        throw GoldenParseError(who + ": " + error);
+    if (!doc.isObject()) {
+        throw GoldenParseError(csprintf(
+            "%s: offset %zu: expected an object", who.c_str(),
+            std::min(text.find_first_not_of(" \t\n\r"), text.size())));
     }
-    for (;;) {
-        std::string key = s.parseString();
-        s.expect(':');
-        if (s.peek() == '"')
-            out.strings[key] = s.parseString();
-        else
-            out.numbers[key] = s.parseNumber();
-        char c = s.peek();
-        ++s.pos;
-        if (c == '}')
-            break;
-        if (c != ',')
-            s.fail(csprintf("expected ',' or '}', found '%c'", c));
+
+    FlatJson out;
+    for (const auto &[key, value] : doc.members()) {
+        if (value.isString()) {
+            out.strings[key] = value.asString();
+        } else if (value.isNumber() && std::isfinite(value.asDouble())) {
+            out.numbers[key] = value.asDouble();
+        } else {
+            throw GoldenParseError(csprintf(
+                "%s: member \"%s\": expected a string or a finite "
+                "number", who.c_str(), key.c_str()));
+        }
     }
     return out;
 }

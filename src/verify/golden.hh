@@ -66,12 +66,15 @@ struct FlatJson
 
 /**
  * Parse a flat JSON object (no nesting, no arrays — the shape
- * SimResult::toJson() emits).
+ * SimResult::toJson() emits) with the shared reader in common/json.
  *
  * @param text The JSON text.
  * @param who  Origin for error messages (file name).
  * @return the parsed object.
- * @throws GoldenParseError on malformed input.
+ * @throws GoldenParseError on malformed JSON or trailing bytes (the
+ *         message names the byte offset), a top level that is not an
+ *         object, or a member that is not a string or finite number
+ *         (the message names the member).
  */
 FlatJson parseFlatJson(const std::string &text,
                        const std::string &who = "<json>");

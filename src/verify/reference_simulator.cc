@@ -1,9 +1,7 @@
 #include "verify/reference_simulator.hh"
 
 #include "common/logging.hh"
-#include "core/drowsy_mlc.hh"
-#include "core/perf_monitor.hh"
-#include "telemetry/trace.hh"
+#include "sim/sim_machine.hh"
 
 namespace powerchop
 {
@@ -18,100 +16,16 @@ referenceSimulate(const MachineConfig &machine,
     if (opts.maxInstructions == 0)
         fatal("referenceSimulate: zero instruction budget");
 
-    // --- Build the machine (identical to simulate()) -------------------
-    WorkloadGenerator gen(workload);
-    BtParams bt_params = machine.bt;
-    BtSystem bt(gen.program(), bt_params);
-    BpuComplex bpu(machine.bpu);
-    MemHierarchy mem(machine.l1, machine.mlc);
-    Vpu vpu(machine.vpu);
-    GatingController controller(vpu, bpu, mem, machine.penalties);
-    PerfMonitor monitor(bpu, mem);
-    PowerChopUnit pchop(machine.powerChop, controller, bt.nucleus(),
-                        monitor);
-
-    FaultInjector injector(machine.faults);
-    if (injector.active()) {
-        controller.setFaultInjector(&injector);
-        pchop.setFaultInjector(&injector);
-    }
-
-    TimeoutParams to_params = machine.timeout;
-    if (opts.timeoutCycles > 0)
-        to_params.timeoutCycles = opts.timeoutCycles;
-    TimeoutGater timeout(vpu, to_params);
-    DrowsyMlc drowsy(mem, machine.drowsy);
-
-    CorePowerModel power_model(machine.power);
-
-    const CoreParams &core = machine.core;
-    const double slot = 1.0 / core.issueWidth;
-
-    const bool use_powerchop = opts.mode == SimMode::PowerChop;
-    const bool use_timeout = opts.mode == SimMode::TimeoutVpu;
-    const bool use_drowsy = opts.mode == SimMode::DrowsyMlc;
-
-    if (use_powerchop) {
-        pchop.setManagedUnits(opts.manageVpu, opts.manageBpu,
-                              opts.manageMlc);
-        if (opts.windowObserver)
-            pchop.setWindowObserver(opts.windowObserver);
-    }
-
-    telemetry::TraceRecorder *trace = opts.trace;
-    if (trace) {
-        trace->beginRun(workload.name, machine.name,
-                        simModeName(opts.mode), machine.telemetry);
-        controller.setTrace(trace);
-        pchop.setTrace(trace);
-        if (injector.active())
-            injector.setTrace(trace);
-    }
-
-    SimResult res;
-    res.workload = workload.name;
-    res.machine = machine.name;
-    res.mode = opts.mode;
-
-    Cycles cycles = 0;
-    Cycles last_accrue = 0;
-
-    if (opts.mode == SimMode::MinPower) {
-        cycles += controller.applyPolicy(GatingPolicy::minPower());
-    } else if (opts.mode == SimMode::StaticPolicy) {
-        cycles += controller.applyPolicy(opts.staticPolicy);
-    }
-
-    ActivityRecord act;
-    std::uint64_t branch_lookups = 0;
-    std::uint64_t branch_mispredicts = 0;
-    std::uint64_t bpu_large_lookups = 0;
-    std::uint64_t mlc_accesses = 0;
-
-    TranslationId last_trans = invalidTranslationId;
-    std::uint64_t insns_since_head = 0;
-
-    const Translation *cur_trace = nullptr;
-    std::size_t trace_idx = 0;
-
-    Addr last_miss_line = ~static_cast<Addr>(0);
-    const Addr line_shift = 6;
-
-    bool interpreting = true;
-
-    auto accrue = [&]() {
-        if (cycles > last_accrue) {
-            controller.accrue(cycles - last_accrue);
-            last_accrue = cycles;
-        }
-    };
+    SimMachine sim(machine, workload, opts);
+    WorkloadGenerator &gen = sim.gen();
+    ActivityRecord &act = sim.activity();
 
     // --- The reference loop --------------------------------------------
-    // Strictly one instruction per iteration. Head work runs whenever
-    // the generator sits at a block head; the execution mode, sampler
-    // decision and MLC counter destination are all re-derived from
-    // first principles at each instruction instead of being hoisted,
-    // counted down or cached.
+    // Strictly one instruction per iteration. Block heads are found by
+    // asking the generator, the sampler fires from an explicit modulo,
+    // and the MLC access counter is re-dispatched on the live policy
+    // at every access, instead of being batched, counted down or
+    // cached.
     const InsnCount max_insns = opts.maxInstructions;
     const std::atomic<bool> *cancel = opts.cancelFlag;
     for (InsnCount n = 0; n < max_insns; ++n) {
@@ -124,121 +38,43 @@ referenceSimulate(const MachineConfig &machine,
                     static_cast<unsigned long long>(n),
                     static_cast<unsigned long long>(max_insns)));
             }
-
-            const BlockId blk = gen.currentBlock();
-
-            if (cur_trace && trace_idx < cur_trace->blocks.size() &&
-                cur_trace->blocks[trace_idx] == blk) {
-                ++trace_idx;
-                interpreting = false;
-            } else {
-                cur_trace = nullptr;
-                RegionEntry entry = bt.enterRegion(blk);
-                cycles += entry.extraCycles;
-                interpreting = (entry.mode == ExecMode::Interpreted);
-
-                if (entry.mode == ExecMode::Translated) {
-                    if (use_powerchop &&
-                        last_trans != invalidTranslationId) {
-                        accrue();
-                        if (trace)
-                            trace->setNow(n, cycles);
-                        cycles += pchop.onTranslationHead(
-                            last_trans, insns_since_head, cycles);
-                    }
-                    last_trans = entry.translation->id;
-                    insns_since_head = 0;
-                    cur_trace = entry.translation;
-                    trace_idx = 1;
-                } else {
-                    last_trans = invalidTranslationId;
-                    insns_since_head = 0;
-                }
-            }
-
-            if (use_timeout) {
-                accrue();
-                cycles += timeout.checkIdle(cycles);
-            }
-            if (use_drowsy)
-                drowsy.tick(cycles);
+            sim.enterBlock(gen.currentBlock(), n);
         }
 
         const DynInst &di = gen.next();
         const OpClass op = di.op();
-        monitor.onCommit(op);
-        ++insns_since_head;
-
-        cycles += interpreting ? core.interpreterCpi : slot;
+        sim.monitor().onCommit(op);
+        sim.issue();
 
         switch (op) {
-          case OpClass::SimdOp: {
-            if (use_timeout)
-                cycles += timeout.onSimdUse(cycles);
-            double slots = vpu.executeSimd();
-            if (slots > 1.0) {
-                cycles += (slots - 1.0) * slot;
-                act.instructions += slots - 1.0;
-            }
+          case OpClass::SimdOp:
+            sim.simd();
             break;
-          }
           case OpClass::Load:
-          case OpClass::Store: {
-            const bool is_store = (op == OpClass::Store);
-            MemAccessResult r = mem.access(di.effAddr, is_store);
-            double scale = is_store ? core.storeStallFraction : 1.0;
-            if (r.level == MemLevel::Mlc) {
-                cycles += core.mlcHitPenalty * scale;
-                if (r.mlcWokeDrowsy)
-                    cycles += machine.drowsy.wakePenaltyCycles * scale;
-            } else if (r.level == MemLevel::Memory) {
-                Addr line = di.effAddr >> line_shift;
-                Addr delta = line > last_miss_line
-                    ? line - last_miss_line : last_miss_line - line;
-                bool streamed = delta <= 2;
-                last_miss_line = line;
-                cycles += core.memoryPenalty * scale *
-                          (streamed ? core.streamMissFactor : 1.0);
-            }
-            if (r.level != MemLevel::L1) {
-                ++mlc_accesses;
-                // Re-dispatch on the live policy at every access.
-                switch (controller.current().mlc) {
-                  case MlcPolicy::AllWays:
-                    act.mlcAccessesFull += 1;
-                    break;
-                  case MlcPolicy::HalfWays:
-                    act.mlcAccessesHalf += 1;
-                    break;
-                  case MlcPolicy::QuarterWays:
-                    act.mlcAccessesQuarter += 1;
-                    break;
-                  case MlcPolicy::OneWay:
-                    act.mlcAccessesOne += 1;
-                    break;
-                }
-            }
-            break;
-          }
-          case OpClass::Branch: {
-            if (di.isTerminator) {
-                BpuOutcome o = bpu.predictIndirect(di.pc(), di.target);
-                if (o.targetMiss)
-                    cycles += core.btbMissPenalty;
+          case OpClass::Store:
+            if (!sim.memAccess(di.effAddr, op == OpClass::Store))
+                break;
+            switch (sim.controller().current().mlc) {
+              case MlcPolicy::AllWays:
+                act.mlcAccessesFull += 1;
+                break;
+              case MlcPolicy::HalfWays:
+                act.mlcAccessesHalf += 1;
+                break;
+              case MlcPolicy::QuarterWays:
+                act.mlcAccessesQuarter += 1;
+                break;
+              case MlcPolicy::OneWay:
+                act.mlcAccessesOne += 1;
                 break;
             }
-            BpuOutcome o = bpu.predict(di.pc(), di.taken, di.target);
-            ++branch_lookups;
-            if (bpu.largeOn())
-                ++bpu_large_lookups;
-            if (o.directionMispredict) {
-                cycles += core.mispredictPenalty;
-                ++branch_mispredicts;
-            } else if (o.targetMiss) {
-                cycles += core.btbMissPenalty;
-            }
             break;
-          }
+          case OpClass::Branch:
+            if (di.isTerminator)
+                sim.terminator(di.pc(), di.target);
+            else
+                sim.branch(di.pc(), di.taken, di.target);
+            break;
           case OpClass::IntAlu:
           case OpClass::FpAlu:
             break;
@@ -246,122 +82,11 @@ referenceSimulate(const MachineConfig &machine,
 
         if (opts.sampleInterval &&
             (n + 1) % opts.sampleInterval == 0)
-            opts.sampler(n + 1, cycles);
+            opts.sampler(n + 1, sim.cycles());
     }
 
-    // Flush the trailing attribution, exactly as simulate() does.
-    if (use_powerchop && last_trans != invalidTranslationId &&
-        insns_since_head > 0) {
-        accrue();
-        if (trace)
-            trace->setNow(max_insns, cycles);
-        cycles +=
-            pchop.onTranslationHead(last_trans, insns_since_head, cycles);
-        insns_since_head = 0;
-    }
-
-    accrue();
-    if (use_timeout)
-        timeout.finish(cycles);
-    if (use_drowsy)
-        drowsy.finish(cycles);
-
-    if (trace) {
-        trace->setNow(max_insns, cycles);
-        trace->endRun(max_insns, cycles);
-    }
-
-    // --- Collect results (identical arithmetic to simulate()) ----------
-    auto per = [](double num, double den) {
-        return den > 0 ? num / den : 0.0;
-    };
-
-    res.instructions = max_insns;
-    res.cycles = cycles;
-    res.seconds = per(cycles, core.frequencyHz);
-
-    res.gating = controller.stats();
-    if (use_timeout) {
-        res.gating.vpuSwitches = timeout.switches();
-        res.gating.vpuGatedCycles = timeout.gatedCycles();
-    }
-
-    res.vpuGatedFraction = per(res.gating.vpuGatedCycles, cycles);
-    res.bpuGatedFraction = per(res.gating.bpuGatedCycles, cycles);
-    res.mlcHalfFraction = per(res.gating.mlcHalfCycles, cycles);
-    res.mlcQuarterFraction = per(res.gating.mlcQuarterCycles, cycles);
-    res.mlcOneWayFraction = per(res.gating.mlcOneWayCycles, cycles);
-
-    const double mcycles = cycles / 1e6;
-    res.vpuSwitchesPerMcycle = per(res.gating.vpuSwitches, mcycles);
-    res.bpuSwitchesPerMcycle = per(res.gating.bpuSwitches, mcycles);
-    res.mlcSwitchesPerMcycle = per(res.gating.mlcSwitches, mcycles);
-
-    res.pvtLookups = pchop.pvt().lookups();
-    res.pvtHits = pchop.pvt().hits();
-
-    res.faults = injector.stats();
-    const QosStats &qos = pchop.qos().stats();
-    res.safeModeActivations = qos.safeModeActivations;
-    res.safeModeWindowFraction = qos.windowsObserved
-        ? static_cast<double>(qos.safeModeWindows) /
-              qos.windowsObserved
-        : 0.0;
-    res.translationsExecuted = pchop.translationsSeen();
-    res.pvtMissPerTranslation = res.translationsExecuted
-        ? static_cast<double>(pchop.pvt().misses()) /
-              res.translationsExecuted
-        : 0.0;
-
-    res.l1HitRate = mem.l1().hitRate();
-    res.mlcHitRate = mem.mlc().hitRate();
-    res.mlcAccesses = mlc_accesses;
-    res.mlcAccessesPerKilo =
-        per(1000.0 * mlc_accesses, res.instructions);
-
-    res.branchLookups = branch_lookups;
-    res.branchMispredicts = branch_mispredicts;
-    res.branchMispredictRate =
-        per(branch_mispredicts, branch_lookups);
-    res.branchesPerKilo =
-        per(1000.0 * branch_lookups, res.instructions);
-
-    res.simdOps = vpu.nativeOps();
-    res.simdEmulated = vpu.emulatedOps();
-
-    if (use_drowsy) {
-        res.mlcDrowsyFraction = drowsy.avgDrowsyFraction();
-        res.drowsyWakes = mem.mlc().drowsyWakes();
-        act.mlcDrowsyFraction = res.mlcDrowsyFraction;
-        act.drowsyLeakageFraction =
-            machine.drowsy.drowsyLeakageFraction;
-    }
-
-    act.cycles = cycles;
-    act.instructions += res.instructions;
-    act.vpuOps = static_cast<double>(vpu.nativeOps());
-    act.bpuLargeLookups = static_cast<double>(bpu_large_lookups);
-    act.vpuGatedCycles = res.gating.vpuGatedCycles;
-    act.bpuGatedCycles = res.gating.bpuGatedCycles;
-    act.mlcFullCycles = res.gating.mlcFullCycles;
-    act.mlcHalfCycles = res.gating.mlcHalfCycles;
-    act.mlcQuarterCycles = res.gating.mlcQuarterCycles;
-    act.mlcOneWayCycles = res.gating.mlcOneWayCycles;
-    if (use_timeout) {
-        act.vpuGatedCycles = timeout.gatedCycles();
-        act.vpuSwitches = static_cast<double>(timeout.switches());
-        act.mlcFullCycles = cycles;
-    } else {
-        act.vpuSwitches = static_cast<double>(res.gating.vpuSwitches);
-    }
-    act.bpuSwitches = static_cast<double>(res.gating.bpuSwitches);
-    act.mlcSwitches = static_cast<double>(res.gating.mlcSwitches);
-
-    res.slotOps = act.instructions;
-    res.activity = act;
-    res.energy = accumulateEnergy(power_model, act, machine.mlc.assoc);
-
-    return res;
+    sim.finish(max_insns);
+    return sim.result(max_insns);
 }
 
 } // namespace verify

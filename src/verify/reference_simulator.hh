@@ -1,24 +1,26 @@
 /**
  * @file
- * The reference simulator: a deliberately simple re-implementation of
- * simulate() used as a differential oracle for the optimized core.
+ * The reference simulator: a deliberately simple second driver of the
+ * simulated machine, used as a differential oracle for simulate().
  *
- * The production loop in sim/simulator.cc earns its speed from three
- * structural tricks: whole-block burst execution with the per-
- * instruction head checks hoisted out, a countdown-based sampler
- * (one decrement-and-test per instruction instead of a modulo), and an
- * epoch-cached destination pointer for the per-policy MLC access
- * counters. Each of those is a place where an optimization bug could
- * silently skew results.
+ * Both loops run the same SimMachine (sim/sim_machine.hh): its
+ * wiring for the SimMode, block-head step, per-instruction charges
+ * and result roll-up are written once and covered by both. What the
+ * oracle checks is the production loop's own machinery, and each of
+ * those parts stays independent here:
  *
- * referenceSimulate() takes the other side of every one of those
- * trades: it advances strictly one instruction at a time, re-evaluates
- * the execution mode per instruction, fires the sampler from an
- * explicit modulo, and re-dispatches the MLC access counter on the
- * controller's live policy at every access. It shares the component
- * models (BT, BPU, MLC, VPU, gating controller, PowerChop unit) —
- * those have their own unit tests — so what the differential check
- * isolates is exactly the driver loop's bookkeeping.
+ *  - instruction stepping: simulate() runs whole blocks as bursts over
+ *    pre-decoded slot streams; referenceSimulate() calls the
+ *    generator's next() once per instruction and finds block heads
+ *    with atBlockHead();
+ *  - the sampler: a countdown there, an explicit modulo here;
+ *  - the per-policy MLC access counter: simulate() caches its
+ *    destination per MLC policy epoch, the reference re-dispatches on
+ *    the controller's live policy at every access;
+ *  - cancellation polling and its messages;
+ *  - translation metadata: only simulate() uses
+ *    SimOptions::translationCache; the reference lets the translator
+ *    derive its own, so a bug in the cache shows as a divergence.
  *
  * The contract is bit-identical results: same (machine, workload,
  * options) must produce a SimResult whose every field matches
@@ -26,11 +28,10 @@
  * loops apply the same arithmetic in the same order. Any divergence,
  * however small, is a bug in one of the two loops.
  *
- * Unsupported instrumentation: opts.metrics and opts.profiler are
- * ignored (they never feed back into results); opts.audit is ignored
- * (the oracle is the thing audits are checked against). Traces,
- * window observers, samplers and cancellation behave as in
- * simulate().
+ * Unsupported instrumentation: opts.profiler is ignored and so is
+ * opts.audit (the oracle is the thing audits are checked against).
+ * Traces, metrics, window observers, samplers and cancellation behave
+ * as in simulate().
  */
 
 #ifndef POWERCHOP_VERIFY_REFERENCE_SIMULATOR_HH

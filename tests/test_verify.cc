@@ -198,6 +198,83 @@ TEST(Differential, ReferenceMatchesOptimizedWithSampler)
     }
 }
 
+TEST(Differential, ReferenceMatchesOptimizedGatingEventOrder)
+{
+    // End-of-run totals and the sampler cannot see *when* units gate:
+    // the two loops must also emit the same trace events and HTB
+    // windows, in the same order, with the same stamps.
+    struct Streams
+    {
+        telemetry::TraceRecorder trace;
+        std::vector<WindowReport> windows;
+    };
+    auto record = [](const MachineConfig &m, const WorkloadSpec &w,
+                     SimMode mode, bool reference, Streams &out) {
+        SimOptions opts;
+        opts.mode = mode;
+        opts.maxInstructions = 300'007; // odd: the run ends mid-block
+        opts.trace = &out.trace;
+        opts.windowObserver = [&out](const WindowReport &r) {
+            out.windows.push_back(r);
+        };
+        if (reference)
+            referenceSimulate(m, w, opts);
+        else
+            simulate(m, w, opts);
+    };
+
+    std::size_t events = 0, windows = 0;
+    for (const char *app : {"gobmk", "gems", "canneal", "msn"}) {
+        const WorkloadSpec w = findWorkload(app);
+        for (std::uint64_t seed : {0ull, 1009ull}) {
+            MachineConfig m = w.suite == Suite::MobileBench
+                ? mobileConfig() : serverConfig();
+            if (seed)
+                enableFaults(m, seed);
+            for (SimMode mode : allModes) {
+                SCOPED_TRACE(std::string(app) + ", " +
+                             simModeName(mode) + ", fault seed " +
+                             std::to_string(seed));
+                Streams opt, ref;
+                record(m, w, mode, false, opt);
+                record(m, w, mode, true, ref);
+
+                const auto &a = opt.trace.events();
+                const auto &b = ref.trace.events();
+                ASSERT_EQ(a.size(), b.size());
+                EXPECT_EQ(opt.trace.droppedEvents(), 0u);
+                events += a.size();
+                for (std::size_t i = 0; i < a.size(); ++i) {
+                    SCOPED_TRACE("event " + std::to_string(i));
+                    ASSERT_EQ(a[i].kind, b[i].kind);
+                    ASSERT_EQ(a[i].insns, b[i].insns);
+                    ASSERT_EQ(a[i].cycles, b[i].cycles);
+                    ASSERT_EQ(a[i].a0, b[i].a0);
+                    ASSERT_EQ(a[i].a1, b[i].a1);
+                    ASSERT_EQ(a[i].d, b[i].d);
+                }
+                EXPECT_EQ(opt.trace.endInsns(), ref.trace.endInsns());
+                EXPECT_EQ(opt.trace.endCycles(), ref.trace.endCycles());
+
+                ASSERT_EQ(opt.windows.size(), ref.windows.size());
+                windows += opt.windows.size();
+                for (std::size_t i = 0; i < opt.windows.size(); ++i) {
+                    SCOPED_TRACE("window " + std::to_string(i));
+                    ASSERT_EQ(opt.windows[i].instructions,
+                              ref.windows[i].instructions);
+                    ASSERT_EQ(opt.windows[i].translations,
+                              ref.windows[i].translations);
+                    ASSERT_EQ(opt.windows[i].profile,
+                              ref.windows[i].profile);
+                }
+            }
+        }
+    }
+    // Not vacuous: the runs gate, switch policies and close windows.
+    EXPECT_GT(events, 1000u);
+    EXPECT_GT(windows, 100u);
+}
+
 TEST(Differential, MatrixRunnerReportsAllCasesOk)
 {
     DifferentialMatrix matrix;
@@ -410,8 +487,22 @@ TEST(Golden, ParseRejectsMalformedInput)
     EXPECT_THROW(parseFlatJson("{\"a\":1"), GoldenParseError);
     EXPECT_THROW(parseFlatJson("\"not an object\""),
                  GoldenParseError);
+    EXPECT_THROW(parseFlatJson("{\"a\":1} x"), GoldenParseError);
+    EXPECT_THROW(parseFlatJson("{\"a\":nan}"), GoldenParseError);
+    EXPECT_THROW(parseFlatJson("{\"a\":-inf}"), GoldenParseError);
+    EXPECT_THROW(parseFlatJson("{\"a\":[1]}"), GoldenParseError);
     EXPECT_NO_THROW(parseFlatJson("{}"));
     EXPECT_NO_THROW(parseFlatJson("  { \"a\" : 1 , \"b\" : \"x\" } "));
+
+    // The error names the file and where the parse stopped.
+    try {
+        parseFlatJson("{\"a\":1} x", "g.json");
+        ADD_FAILURE() << "trailing bytes accepted";
+    } catch (const GoldenParseError &e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("g.json"), std::string::npos) << what;
+        EXPECT_NE(what.find("byte 8"), std::string::npos) << what;
+    }
 }
 
 TEST(Golden, DifferToleratesDriftWithinTolAndExtraKeys)

@@ -73,21 +73,26 @@
  *   --metrics-out PATH        Write the per-window metrics CSV
  *                             (PowerChop mode; .jsonl writes JSONL).
  *
- * Unknown subcommands and options print usage and exit 2. --version
- * prints the release and exits 0.
+ * Unknown subcommands and options, and numeric values that do not
+ * parse whole or fall outside the flag's range, print usage and exit
+ * 2. --version prints the release and exits 0.
  */
 
 #include <atomic>
+#include <cctype>
+#include <cerrno>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include <csignal>
@@ -168,21 +173,43 @@ class UsageError : public std::runtime_error
 };
 
 /**
- * A time-valued flag (--*-seconds, --interval). The whole value must
- * parse as a finite number of seconds in [0, 1e9] (about 31 years;
- * the ceiling keeps every nanosecond deadline derived from it in
- * range), otherwise it is a usage error.
+ * A numeric flag. The whole value must parse — as a plain decimal
+ * integer for an integral T, as a finite number otherwise — and lie
+ * in [lo, hi], otherwise it is a usage error.
  */
-double
-parseSeconds(const char *flag, const std::string &text)
+template <typename T>
+T
+parseNumber(const char *flag, const std::string &text, T lo = 0,
+            T hi = std::numeric_limits<T>::max())
 {
+    const char *s = text.c_str();
     char *end = nullptr;
-    const double v = std::strtod(text.c_str(), &end);
-    if (text.empty() || end != text.c_str() + text.size() ||
-        !std::isfinite(v) || v < 0 || v > 1e9) {
+    T v{};
+    bool ok = false;
+    if constexpr (std::is_integral_v<T>) {
+        // strtoull() skips blanks and wraps a leading '-' around, so
+        // only a value that starts with a digit can be an integer.
+        errno = 0;
+        const unsigned long long u = std::strtoull(s, &end, 10);
+        ok = std::isdigit(static_cast<unsigned char>(s[0])) &&
+             errno == 0 && u >= static_cast<unsigned long long>(lo) &&
+             u <= static_cast<unsigned long long>(hi);
+        v = static_cast<T>(u);
+    } else {
+        v = std::strtod(s, &end);
+        ok = std::isfinite(v) && v >= lo && v <= hi;
+    }
+    if (!ok || text.empty() || end != s + text.size()) {
+        auto show = [](T x) {
+            if constexpr (std::is_integral_v<T>)
+                return std::to_string(x);
+            else
+                return csprintf("%g", x);
+        };
         throw UsageError(csprintf(
-            "%s wants a number of seconds in [0, 1e9], got '%s'", flag,
-            text.c_str()));
+            "%s wants %s in [%s, %s], got '%s'", flag,
+            std::is_integral_v<T> ? "an integer" : "a number",
+            show(lo).c_str(), show(hi).c_str(), text.c_str()));
     }
     return v;
 }
@@ -287,8 +314,11 @@ parseOptions(const std::vector<std::string> &rest)
                 fatal("%s requires a value", what);
             return rest[++i];
         };
+        // Time-valued flags (--*-seconds, --interval): the 1e9 s
+        // ceiling (about 31 years) keeps every nanosecond deadline
+        // derived from them in range.
         auto seconds = [&](const char *what) {
-            return parseSeconds(what, need(what));
+            return parseNumber(what, need(what), 0.0, 1e9);
         };
         if (rest[i] == "--machine")
             a.machine = need("--machine");
@@ -296,10 +326,10 @@ parseOptions(const std::vector<std::string> &rest)
             a.mode = parseMode(need("--mode"));
             a.modeSet = true;
         } else if (rest[i] == "--insns") {
-            a.insns = std::strtoull(need("--insns").c_str(), nullptr, 10);
+            a.insns = parseNumber<InsnCount>("--insns", need("--insns"), 1);
             a.insnsSet = true;
         } else if (rest[i] == "--timeout")
-            a.timeout = std::strtod(need("--timeout").c_str(), nullptr);
+            a.timeout = parseNumber<double>("--timeout", need("--timeout"));
         else if (rest[i] == "--save")
             a.save = need("--save");
         else if (rest[i] == "--json")
@@ -321,7 +351,7 @@ parseOptions(const std::vector<std::string> &rest)
         else if (rest[i] == "--update-goldens")
             a.updateGoldens = true;
         else if (rest[i] == "--tol")
-            a.tol = std::strtod(need("--tol").c_str(), nullptr);
+            a.tol = parseNumber<double>("--tol", need("--tol"));
         else if (rest[i] == "--modes")
             a.modes = need("--modes");
         else if (rest[i] == "--resume")
@@ -333,14 +363,12 @@ parseOptions(const std::vector<std::string> &rest)
         else if (rest[i] == "--drain-seconds")
             a.drainSeconds = seconds("--drain-seconds");
         else if (rest[i] == "--retries")
-            a.retries = static_cast<unsigned>(
-                std::strtoul(need("--retries").c_str(), nullptr, 10));
+            a.retries = parseNumber<unsigned>("--retries", need("--retries"));
         else if (rest[i] == "--shards")
-            a.shards = static_cast<unsigned>(
-                std::strtoul(need("--shards").c_str(), nullptr, 10));
+            a.shards = parseNumber<unsigned>("--shards", need("--shards"));
         else if (rest[i] == "--max-restarts")
-            a.maxRestarts = static_cast<unsigned>(std::strtoul(
-                need("--max-restarts").c_str(), nullptr, 10));
+            a.maxRestarts = parseNumber<unsigned>("--max-restarts",
+                                                  need("--max-restarts"));
         else if (rest[i] == "--heartbeat-seconds")
             a.heartbeatSeconds = seconds("--heartbeat-seconds");
         else if (rest[i] == "--no-redispatch")
@@ -356,24 +384,23 @@ parseOptions(const std::vector<std::string> &rest)
         else if (rest[i] == "--socket")
             a.socket = need("--socket");
         else if (rest[i] == "--port")
-            a.port = static_cast<unsigned>(
-                std::strtoul(need("--port").c_str(), nullptr, 10));
+            a.port = parseNumber<unsigned>("--port", need("--port"), 0,
+                                           65535);
         else if (rest[i] == "--cache-mb")
-            a.cacheMb =
-                std::strtod(need("--cache-mb").c_str(), nullptr);
+            a.cacheMb = parseNumber<double>("--cache-mb", need("--cache-mb"),
+                                            1e-6, 1e9);
         else if (rest[i] == "--get")
             a.get = need("--get");
         else if (rest[i] == "--stats")
             a.statsRequest = true;
         else if (rest[i] == "--max-conns")
-            a.maxConns = static_cast<unsigned>(std::strtoul(
-                need("--max-conns").c_str(), nullptr, 10));
+            a.maxConns = parseNumber<unsigned>("--max-conns",
+                                               need("--max-conns"));
         else if (rest[i] == "--sim-queue")
-            a.simQueue = static_cast<unsigned>(std::strtoul(
-                need("--sim-queue").c_str(), nullptr, 10));
+            a.simQueue = parseNumber<unsigned>("--sim-queue",
+                                               need("--sim-queue"));
         else if (rest[i] == "--backlog")
-            a.backlog = static_cast<int>(std::strtol(
-                need("--backlog").c_str(), nullptr, 10));
+            a.backlog = parseNumber<int>("--backlog", need("--backlog"));
         else if (rest[i] == "--idle-timeout-seconds")
             a.idleTimeoutSeconds = seconds("--idle-timeout-seconds");
         else if (rest[i] == "--read-timeout-seconds")
@@ -384,23 +411,17 @@ parseOptions(const std::vector<std::string> &rest)
             a.requestDeadlineSeconds =
                 seconds("--request-deadline-seconds");
         else if (rest[i] == "--compact-ratio")
-            a.compactRatio = std::strtod(
-                need("--compact-ratio").c_str(), nullptr);
+            a.compactRatio = parseNumber<double>(
+                "--compact-ratio", need("--compact-ratio"), 0.0, 1.0);
         else if (rest[i] == "--compact-min-records")
-            a.compactMinRecords = std::strtoull(
-                need("--compact-min-records").c_str(), nullptr, 10);
+            a.compactMinRecords = parseNumber<std::uint64_t>(
+                "--compact-min-records", need("--compact-min-records"));
         else if (rest[i] == "--profile")
             a.profile = true;
         else
             throw UsageError(csprintf("unknown option '%s'",
                                       rest[i].c_str()));
     }
-    if (a.insns == 0)
-        fatal("--insns must be positive");
-    if (a.port > 65535)
-        fatal("--port must be in [1, 65535]");
-    if (a.cacheMb <= 0)
-        fatal("--cache-mb must be positive");
     // --profile arms the process-wide profiler that POWERCHOP_PROFILE
     // latched at global()'s first use; doing it in the option funnel
     // covers every subcommand with one line.
@@ -657,7 +678,7 @@ cmdVerify(const Args &a)
     if (!a.seeds.empty()) {
         for (const auto &s : splitList(a.seeds))
             matrix.faultSeeds.push_back(
-                std::strtoull(s.c_str(), nullptr, 10));
+                parseNumber<std::uint64_t>("--seeds", s));
     } else {
         // Fault-free plus one faulty seed: the differential contract
         // holds under injected faults too (both loops share the
