@@ -109,6 +109,7 @@ BM_EndToEndSimulation(benchmark::State &state)
 BENCHMARK(BM_EndToEndSimulation)
     ->Arg(static_cast<int>(SimMode::FullPower))
     ->Arg(static_cast<int>(SimMode::PowerChop))
+    ->Arg(static_cast<int>(SimMode::DrowsyMlc))
     ->Unit(benchmark::kMillisecond);
 
 } // namespace

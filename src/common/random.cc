@@ -22,6 +22,20 @@ splitmix64(std::uint64_t &x)
 
 } // namespace
 
+Chance::Chance(double p)
+{
+    if (p <= 0.0 || p >= 1.0) {
+        threshold_ = p >= 1.0 ? 1 : 0;
+        return;
+    }
+    // NaN draws and always loses, as uniform() < NaN does. Otherwise
+    // p * 2^53 is exact (p is at least the smallest subnormal, and
+    // scaling it by 2^53 stays normal) and its ceiling is <= 2^53.
+    draws_ = true;
+    threshold_ = std::isnan(p) ? 0
+        : static_cast<std::uint64_t>(std::ceil(std::ldexp(p, 53)));
+}
+
 Rng::Rng(std::uint64_t s)
 {
     seed(s);

@@ -18,6 +18,26 @@ namespace powerchop
 {
 
 /**
+ * A probability prepared for Rng::chance(), which draws and answers
+ * exactly as Rng::bernoulli(p) would: uniform() < p holds exactly
+ * when the draw's top 53 bits are below ceil(p * 2^53), so the test
+ * becomes one integer compare with no conversion.
+ */
+class Chance
+{
+  public:
+    explicit Chance(double p);
+
+  private:
+    friend class Rng;
+
+    /** The draw succeeds when (next() >> 11) < threshold_. Without a
+     *  draw (p <= 0 or p >= 1), the answer is threshold_ != 0. */
+    std::uint64_t threshold_ = 0;
+    bool draws_ = false;
+};
+
+/**
  * Deterministic random number generator (xoshiro256**).
  *
  * Seeding uses splitmix64 so that small or correlated seeds still
@@ -83,6 +103,16 @@ class Rng
         if (p >= 1.0)
             return true;
         return uniform() < p;
+    }
+
+    /** @return bernoulli(p) for the p that c was prepared from, with
+     *  the same draws. */
+    bool
+    chance(const Chance &c)
+    {
+        if (!c.draws_)
+            return c.threshold_ != 0;
+        return (next() >> 11) < c.threshold_;
     }
 
     /**

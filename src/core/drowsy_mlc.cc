@@ -40,7 +40,7 @@ DrowsyMlc::tick(double now_cycles)
     while (now_cycles - lastSweep_ >= params_.intervalCycles) {
         double sweep_at = lastSweep_ + params_.intervalCycles;
         accumulate(sweep_at);
-        mem_.mlc().drowseAll();
+        mem_.drowseMlc();
         lastSweep_ = sweep_at;
         ++sweeps_;
     }

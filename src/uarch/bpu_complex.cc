@@ -21,20 +21,36 @@ largePredictorKindName(LargePredictorKind k)
     panic("unknown LargePredictorKind %d", static_cast<int>(k));
 }
 
+namespace
+{
+
+/** A new P built from args, or a copy of `from` (a P) when given. */
+template <typename P, typename... Args>
 std::unique_ptr<DirectionPredictor>
-BpuComplex::makeLarge(const BpuParams &params)
+makeOrCopy(const DirectionPredictor *from, Args... args)
+{
+    if (from)
+        return std::make_unique<P>(static_cast<const P &>(*from));
+    return std::make_unique<P>(args...);
+}
+
+} // namespace
+
+std::unique_ptr<DirectionPredictor>
+BpuComplex::makeLarge(const BpuParams &params,
+                      const DirectionPredictor *from)
 {
     switch (params.largeKind) {
       case LargePredictorKind::Tournament:
-        return std::make_unique<TournamentPredictor>(params.large);
+        return makeOrCopy<TournamentPredictor>(from, params.large);
       case LargePredictorKind::Agree:
-        return std::make_unique<AgreePredictor>(
-            params.large.globalEntries,
+        return makeOrCopy<AgreePredictor>(
+            from, params.large.globalEntries,
             params.large.localPatternEntries,
             params.large.globalHistoryBits);
       case LargePredictorKind::Perceptron:
-        return std::make_unique<PerceptronPredictor>(
-            params.large.localHistoryEntries,
+        return makeOrCopy<PerceptronPredictor>(
+            from, params.large.localHistoryEntries,
             params.large.globalHistoryBits * 2);
     }
     panic("unknown LargePredictorKind %d",
@@ -44,7 +60,6 @@ BpuComplex::makeLarge(const BpuParams &params)
 BpuComplex::BpuComplex(const BpuParams &params)
     : params_(params),
       large_(makeLarge(params)),
-      shadowLarge_(makeLarge(params)),
       small_(params.smallPredictorEntries),
       largeBtb_(params.largeBtbEntries, params.btbAssoc),
       smallBtb_(params.smallBtbEntries, params.btbAssoc)
@@ -52,8 +67,6 @@ BpuComplex::BpuComplex(const BpuParams &params)
     if (params.largeKind == LargePredictorKind::Tournament) {
         tournamentLarge_ =
             static_cast<TournamentPredictor *>(large_.get());
-        tournamentShadow_ =
-            static_cast<TournamentPredictor *>(shadowLarge_.get());
     }
 }
 
@@ -63,6 +76,15 @@ BpuComplex::gateLargeOff()
     if (!largeOn_)
         return;
     largeOn_ = false;
+    // Until now the shadow would have trained exactly as the large
+    // predictor did; fork it before the state below is lost.
+    if (!shadowLarge_) {
+        shadowLarge_ = makeLarge(params_, large_.get());
+        if (tournamentLarge_) {
+            tournamentShadow_ =
+                static_cast<TournamentPredictor *>(shadowLarge_.get());
+        }
+    }
     // Global, chooser and BTB state is lost when the supply voltage is
     // cut (Table I "Gated Off State").
     large_->reset();
@@ -81,7 +103,7 @@ BpuComplex::largeWindowMispredictRate() const
 {
     // Profiling reads the never-gated shadow so a freshly regated
     // (cold) large predictor does not masquerade as non-critical.
-    return shadowLarge_->windowMispredictRate();
+    return (shadowLarge_ ? *shadowLarge_ : *large_).windowMispredictRate();
 }
 
 double
@@ -94,7 +116,8 @@ void
 BpuComplex::resetWindowStats()
 {
     large_->resetWindow();
-    shadowLarge_->resetWindow();
+    if (shadowLarge_)
+        shadowLarge_->resetWindow();
     small_.resetWindow();
 }
 

@@ -16,7 +16,9 @@
  * of the unit rather than its post-regate re-warm transient. This is
  * the predictor-side analogue of shadow-tag cache monitors and is
  * what a robust implementation of the paper's "hardware performance
- * monitors" requires (see DESIGN.md).
+ * monitors" requires (see DESIGN.md). Until the large side is first
+ * gated off the shadow would equal it, so profiling reads the large
+ * predictor until then and the first gate-off copies it.
  */
 
 #ifndef POWERCHOP_UARCH_BPU_COMPLEX_HH
@@ -102,10 +104,12 @@ class BpuComplex
         bool large_pred;
         if (tournamentLarge_) {
             large_pred = tournamentLarge_->predictAndTrainFast(pc, taken);
-            tournamentShadow_->predictAndTrainFast(pc, taken);
+            if (tournamentShadow_)
+                tournamentShadow_->predictAndTrainFast(pc, taken);
         } else {
             large_pred = large_->predictAndTrain(pc, taken);
-            shadowLarge_->predictAndTrain(pc, taken);
+            if (shadowLarge_)
+                shadowLarge_->predictAndTrain(pc, taken);
         }
         bool small_pred = small_.predictAndTrainFast(pc, taken);
 
@@ -147,7 +151,8 @@ class BpuComplex
     }
 
     /** Gate the large side off: timing falls back to the small
-     *  predictor and all large-side state is lost. */
+     *  predictor and all large-side state is lost. The first call
+     *  copies the shadow off the large predictor before the loss. */
     void gateLargeOff();
 
     /** Gate the large side back on; it restarts cold (re-warm). */
@@ -171,13 +176,16 @@ class BpuComplex
     const BimodalPredictor &small() const { return small_; }
 
   private:
-    /** Build a large predictor of the configured organization. */
+    /** Build a large predictor of the configured organization, or
+     *  copy `from` (one such predictor) when given. */
     static std::unique_ptr<DirectionPredictor>
-    makeLarge(const BpuParams &params);
+    makeLarge(const BpuParams &params,
+              const DirectionPredictor *from = nullptr);
 
     BpuParams params_;
     std::unique_ptr<DirectionPredictor> large_;
-    /** Never-reset shadow of the large predictor; profiling only. */
+    /** Never-reset shadow of the large predictor; profiling only.
+     *  Null until the large side is first gated off. */
     std::unique_ptr<DirectionPredictor> shadowLarge_;
     /** Concrete aliases of large_/shadowLarge_ when the organization
      *  is the default tournament; enables the inline fast path. @{ */

@@ -1,5 +1,7 @@
 #include "uarch/cache.hh"
 
+#include <algorithm>
+
 #include "common/intmath.hh"
 #include "common/logging.hh"
 
@@ -23,32 +25,28 @@ SetAssocCache::SetAssocCache(const CacheParams &params)
     activeWays_ = params.assoc;
     lineShift_ = floorLog2(params.lineBytes);
     setShift_ = floorLog2(numSets_);
-    tags_.assign(lines, 0);
-    flags_.assign(lines, 0);
+    // With at least one index bit, tags stay below kNoTag.
+    if (lineShift_ + setShift_ == 0)
+        fatal("cache of one set of 1-byte lines: a tag could equal "
+              "the invalid-line marker");
+    tags_.assign(lines, kNoTag);
+    dirty_.assign(lines, 0);
     lru_.assign(lines, 0);
 }
 
 std::uint64_t
 SetAssocCache::drowseAll()
 {
-    std::uint64_t slept = 0;
-    for (auto &f : flags_) {
-        if ((f & (kValid | kDrowsy)) == kValid) {
-            f = static_cast<std::uint8_t>(f | kDrowsy);
-            ++slept;
-        }
+    if (wakeStamp_.empty()) {
+        // First sweep: every valid line has been awake so far.
+        wakeStamp_.assign(tags_.size(), 0);
+        sweep_ = 0;
+        awake_ = validLineCount();
     }
+    const std::uint64_t slept = awake_;
+    awake_ = 0;
+    ++sweep_;
     return slept;
-}
-
-std::uint64_t
-SetAssocCache::awakeLineCount() const
-{
-    std::uint64_t n = 0;
-    for (auto f : flags_)
-        if ((f & (kValid | kDrowsy)) == kValid)
-            ++n;
-    return n;
 }
 
 std::uint64_t
@@ -62,15 +60,21 @@ SetAssocCache::setActiveWays(unsigned ways)
         // Ways [ways, activeWays_) power down: dirty lines are written
         // back to the LLC, clean lines are simply lost.
         for (unsigned set = 0; set < numSets_; ++set) {
-            std::uint8_t *base =
-                &flags_[static_cast<std::size_t>(set) * params_.assoc];
-            for (unsigned w = ways; w < activeWays_; ++w) {
-                std::uint8_t &f = base[w];
-                if ((f & (kValid | kDirty)) == (kValid | kDirty)) {
+            const std::size_t base =
+                static_cast<std::size_t>(set) * params_.assoc;
+            for (std::size_t line = base + ways;
+                 line < base + activeWays_; ++line) {
+                if (dirty_[line]) {
                     ++dirty_writebacks;
                     ++writebacks_;
                 }
-                f = static_cast<std::uint8_t>(f & ~(kValid | kDirty));
+                if (!wakeStamp_.empty() && lru_[line] != 0 &&
+                    wakeStamp_[line] == sweep_) {
+                    --awake_;
+                }
+                tags_[line] = kNoTag;
+                dirty_[line] = 0;
+                lru_[line] = 0;
             }
         }
     }
@@ -83,13 +87,13 @@ std::uint64_t
 SetAssocCache::invalidateAll()
 {
     std::uint64_t dirty = 0;
-    for (auto &f : flags_) {
-        if ((f & (kValid | kDirty)) == (kValid | kDirty)) {
-            ++dirty;
-            ++writebacks_;
-        }
-        f = static_cast<std::uint8_t>(f & ~(kValid | kDirty));
-    }
+    for (auto d : dirty_)
+        dirty += d;
+    writebacks_ += dirty;
+    std::fill(tags_.begin(), tags_.end(), kNoTag);
+    std::fill(dirty_.begin(), dirty_.end(), 0);
+    std::fill(lru_.begin(), lru_.end(), 0);
+    awake_ = 0;
     return dirty;
 }
 
@@ -97,10 +101,21 @@ std::uint64_t
 SetAssocCache::validLineCount() const
 {
     std::uint64_t n = 0;
-    for (auto f : flags_)
-        if (f & kValid)
+    for (auto t : tags_)
+        if (t != kNoTag)
             ++n;
     return n;
+}
+
+SetAssocCache
+SetAssocCache::cleanCopy() const
+{
+    SetAssocCache c(*this);
+    std::fill(c.dirty_.begin(), c.dirty_.end(), 0);
+    c.wakeStamp_ = {};
+    c.writebacks_ = 0;
+    c.drowsyWakes_ = 0;
+    return c;
 }
 
 } // namespace powerchop

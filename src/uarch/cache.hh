@@ -28,15 +28,18 @@ struct CacheParams
     unsigned lineBytes = 64;
 };
 
-/** Result of one cache access. */
+/** Result of one cache access. One-bit fields pack it into a single
+ *  byte that returns in a register: three separate bools return
+ *  through a stack slot whose 16-bit reload of two byte stores cannot
+ *  be store-forwarded, which stalls every out-of-line lookup. */
 struct CacheAccessResult
 {
-    bool hit = false;
+    bool hit : 1 = false;
     /** A dirty line was evicted to make room (write-back traffic). */
-    bool dirtyEviction = false;
+    bool dirtyEviction : 1 = false;
     /** The hit line was drowsy and had to be woken (costs a short
      *  wake penalty; drowsy-cache baseline only). */
-    bool wokeDrowsy = false;
+    bool wokeDrowsy : 1 = false;
 };
 
 /**
@@ -87,7 +90,11 @@ class SetAssocCache
     std::uint64_t drowseAll();
 
     /** Valid lines currently awake (non-drowsy). */
-    std::uint64_t awakeLineCount() const;
+    std::uint64_t
+    awakeLineCount() const
+    {
+        return wakeStamp_.empty() ? validLineCount() : awake_;
+    }
 
     /** Lifetime count of drowsy-line wakeups. */
     std::uint64_t drowsyWakes() const { return drowsyWakes_; }
@@ -123,14 +130,19 @@ class SetAssocCache
     }
     /** @} */
 
+    /**
+     * @return this cache as it would be had it seen the same accesses
+     * as reads and never been drowsed: the same tags, LRU stamps, hit
+     * and window counts, but no dirty or drowsy lines, write-backs or
+     * wakes. MemHierarchy forks its shadow tag array with it.
+     */
+    SetAssocCache cleanCopy() const;
+
   private:
-    /** Per-line state flags, packed for the tag-scan path. */
-    enum LineFlag : std::uint8_t
-    {
-        kValid = 1u << 0,
-        kDirty = 1u << 1,
-        kDrowsy = 1u << 2,
-    };
+    /** Tag of an invalid line. No address maps to it (the constructor
+     *  rejects geometries where one could), so the match scan needs
+     *  no valid bit. */
+    static constexpr Addr kNoTag = ~Addr(0);
 
     // Line size and set count are powers of two (checked at
     // construction), so indexing is shifts and masks; a division per
@@ -154,12 +166,20 @@ class SetAssocCache
     unsigned setShift_ = 0;
 
     // Structure-of-arrays line state: the hit path scans only tags_
-    // (one host cache line covers a whole 8-way set) and flags_;
-    // lru_ is touched on the hit update and the victim scan.
+    // (one host cache line covers a whole 8-way set); lru_ is touched
+    // on the hit update and the victim scan. An invalid line holds
+    // kNoTag, LRU stamp 0 and no dirty bit.
     std::vector<Addr> tags_;
-    std::vector<std::uint8_t> flags_;
+    std::vector<std::uint8_t> dirty_;
     std::vector<std::uint64_t> lru_;
     std::uint64_t tick_ = 0;
+
+    // Drowsy state, allocated by the first drowseAll(): a valid line
+    // is awake when its stamp equals sweep_, so a sweep is one
+    // increment. awake_ counts the valid awake lines.
+    std::vector<std::uint64_t> wakeStamp_;
+    std::uint64_t sweep_ = 0;
+    std::uint64_t awake_ = 0;
 
     std::uint64_t hits_ = 0;
     std::uint64_t misses_ = 0;
@@ -179,14 +199,12 @@ SetAssocCache::access(Addr addr, bool write)
     const Addr tag = tagOf(addr);
     const std::size_t base = set * params_.assoc;
     const Addr *tags = &tags_[base];
-    std::uint8_t *flags = &flags_[base];
 
-    // Full match scan first, then victim selection: prefer the first
-    // invalid way, else the LRU way among the active ways.
+    // Invalid ways hold kNoTag, so the match scan reads only tags.
     const unsigned ways = activeWays_;
     unsigned match = ways;
     for (unsigned w = 0; w < ways; ++w) {
-        if ((flags[w] & kValid) && tags[w] == tag) {
+        if (tags[w] == tag) {
             match = w;
             break;
         }
@@ -194,41 +212,48 @@ SetAssocCache::access(Addr addr, bool write)
 
     CacheAccessResult res;
     if (match != ways) {
+        const std::size_t line = base + match;
         res.hit = true;
         ++hits_;
         ++windowHits_;
-        if (flags[match] & kDrowsy) {
-            flags[match] = static_cast<std::uint8_t>(
-                flags[match] & ~kDrowsy);
+        if (!wakeStamp_.empty() && wakeStamp_[line] != sweep_) {
+            wakeStamp_[line] = sweep_;
+            ++awake_;
             res.wokeDrowsy = true;
             ++drowsyWakes_;
         }
-        lru_[base + match] = tick_;
+        lru_[line] = tick_;
         if (write)
-            flags[match] = flags[match] | kDirty;
+            dirty_[line] = 1;
         return res;
     }
 
+    // Victim: the first way with the smallest LRU stamp. Invalid ways
+    // stamp 0 and valid stamps are distinct ticks >= 1, so this is
+    // the first invalid way, else the LRU way.
     const std::uint64_t *lru = &lru_[base];
     unsigned victim = 0;
-    for (unsigned w = 0; w < ways; ++w) {
-        if (!(flags[w] & kValid)) {
-            victim = w;
-            break;
-        }
+    for (unsigned w = 1; w < ways; ++w) {
         if (lru[w] < lru[victim])
             victim = w;
     }
 
+    const std::size_t line = base + victim;
     ++misses_;
-    if ((flags[victim] & (kValid | kDirty)) == (kValid | kDirty)) {
+    if (dirty_[line]) {
         res.dirtyEviction = true;
         ++writebacks_;
     }
-    flags[victim] = static_cast<std::uint8_t>(
-        kValid | (write ? kDirty : 0));
-    tags_[base + victim] = tag;
-    lru_[base + victim] = tick_;
+    if (!wakeStamp_.empty()) {
+        // The fill is awake; it adds to the count unless it replaces
+        // a valid awake line.
+        if (lru[victim] == 0 || wakeStamp_[line] != sweep_)
+            ++awake_;
+        wakeStamp_[line] = sweep_;
+    }
+    dirty_[line] = write;
+    tags_[line] = tag;
+    lru_[line] = tick_;
     return res;
 }
 

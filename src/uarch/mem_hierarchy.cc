@@ -4,13 +4,17 @@ namespace powerchop
 {
 
 MemHierarchy::MemHierarchy(const CacheParams &l1, const CacheParams &mlc)
-    : l1_(l1), mlc_(mlc), shadowMlc_(mlc)
+    : l1_(l1), mlc_(mlc)
 {
 }
 
 std::uint64_t
 MemHierarchy::setMlcActiveWays(unsigned ways)
 {
+    // Fork before the MLC loses lines. The shadow is only ever read,
+    // so it holds no dirty or drowsy lines.
+    if (!shadowMlc_ && ways < mlc_.params().assoc)
+        shadowMlc_.emplace(mlc_.cleanCopy());
     return mlc_.setActiveWays(ways);
 }
 
@@ -19,7 +23,8 @@ MemHierarchy::resetWindowStats()
 {
     l1_.resetWindowStats();
     mlc_.resetWindowStats();
-    shadowMlc_.resetWindowStats();
+    if (shadowMlc_)
+        shadowMlc_->resetWindowStats();
 }
 
 } // namespace powerchop

@@ -9,6 +9,7 @@
 #define POWERCHOP_UARCH_MEM_HIERARCHY_HH
 
 #include <cstdint>
+#include <optional>
 
 #include "common/types.hh"
 #include "uarch/cache.hh"
@@ -48,6 +49,11 @@ struct MemAccessResult
  * counter therefore measures the hits the full MLC *would* provide,
  * independent of its current gating state — otherwise a way-gated
  * phase measures few hits and stays gated forever (see DESIGN.md).
+ *
+ * Until the MLC first loses ways its tags, LRU stamps and hits equal
+ * the shadow's, so profiling reads the MLC itself until then and the
+ * shadow is forked off it at that moment. Every MLC change therefore
+ * goes through this class.
  */
 class MemHierarchy
 {
@@ -64,29 +70,40 @@ class MemHierarchy
     MemAccessResult access(Addr addr, bool write);
 
     /**
-     * Set the active way count of the MLC.
+     * Set the active way count of the MLC. The first reduction below
+     * full associativity forks the shadow tag array.
      * @return the number of dirty lines written back.
      */
     std::uint64_t setMlcActiveWays(unsigned ways);
 
+    /** Put every valid MLC line to sleep (drowsy baseline).
+     *  @return the number of lines put to sleep. */
+    std::uint64_t drowseMlc() { return mlc_.drowseAll(); }
+
     const SetAssocCache &l1() const { return l1_; }
     const SetAssocCache &mlc() const { return mlc_; }
-    SetAssocCache &mlc() { return mlc_; }
 
     /** Window counters for CDE profiling (MLC side): hits in the
      *  never-gated shadow tag array. @{ */
-    std::uint64_t mlcWindowHits() const { return shadowMlc_.windowHits(); }
+    std::uint64_t mlcWindowHits() const { return shadowMlc().windowHits(); }
     void resetWindowStats();
     /** @} */
 
-    /** The shadow tag array (exposed for tests). */
-    const SetAssocCache &shadowMlc() const { return shadowMlc_; }
+    /** The shadow tag array. Before the MLC's first way gating this
+     *  is the MLC itself, which holds the same tags and hit counts
+     *  until then. */
+    const SetAssocCache &
+    shadowMlc() const
+    {
+        return shadowMlc_ ? *shadowMlc_ : mlc_;
+    }
 
   private:
     SetAssocCache l1_;
     SetAssocCache mlc_;
-    /** Tag-only shadow of the MLC at full ways; profiling only. */
-    SetAssocCache shadowMlc_;
+    /** Tag-only shadow of the MLC at full ways; profiling only.
+     *  Empty until the MLC first loses ways. */
+    std::optional<SetAssocCache> shadowMlc_;
 };
 
 inline MemAccessResult
@@ -105,7 +122,8 @@ MemHierarchy::access(Addr addr, bool write)
     CacheAccessResult l2r = mlc_.access(addr, write || l1r.dirtyEviction);
     // The shadow tag array sees the same filtered stream but is never
     // gated; its hits feed criticality profiling.
-    shadowMlc_.access(addr, false);
+    if (shadowMlc_)
+        shadowMlc_->access(addr, false);
     res.level = l2r.hit ? MemLevel::Mlc : MemLevel::Memory;
     res.mlcWriteback = l2r.dirtyEviction;
     res.mlcWokeDrowsy = l2r.wokeDrowsy;

@@ -20,7 +20,8 @@ AddressStream::AddressStream(const AddressStreamSpec &spec)
     : spec_(spec), cursor_(0), hotCursor_(0),
       wsLines_(spec.workingSetBytes / spec.strideBytes),
       hotMask_(isPow2(spec.hotRegionBytes) ? spec.hotRegionBytes - 1 : 0),
-      wsMask_(isPow2(spec.workingSetBytes) ? spec.workingSetBytes - 1 : 0)
+      wsMask_(isPow2(spec.workingSetBytes) ? spec.workingSetBytes - 1 : 0),
+      hotChance_(spec.hotRegionFrac), randomChance_(spec.randomFrac)
 {
     if (spec_.workingSetBytes < spec_.strideBytes)
         fatal("working set (%llu B) smaller than stride",

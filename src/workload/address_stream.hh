@@ -91,12 +91,18 @@ class AddressStream
     std::uint64_t hotMask_;
     std::uint64_t wsMask_;
     /** @} */
+
+    /** spec_.hotRegionFrac and spec_.randomFrac, prepared for
+     *  Rng::chance(). @{ */
+    Chance hotChance_;
+    Chance randomChance_;
+    /** @} */
 };
 
 inline Addr
 AddressStream::next(Rng &rng)
 {
-    if (rng.bernoulli(spec_.hotRegionFrac)) {
+    if (rng.chance(hotChance_)) {
         // Stack-like traffic: small region, sequential-ish, always
         // resident in L1. The hot region sits just below the phase's
         // data region.
@@ -107,7 +113,7 @@ AddressStream::next(Rng &rng)
     }
 
     const std::uint64_t ws = spec_.workingSetBytes;
-    if (rng.bernoulli(spec_.randomFrac)) {
+    if (rng.chance(randomChance_)) {
         std::uint64_t line = rng.below(wsLines_);
         std::uint64_t off = 0;
         if (spec_.streaming) {

@@ -26,6 +26,9 @@ struct WorkloadGenerator::PhaseState
 
     std::unique_ptr<AddressStream> mem;
 
+    /** The phase's coldEscapeProb, prepared for Rng::chance(). */
+    Chance coldEscape{0.0};
+
     /** Outcome process of each internal branch, keyed by branch PC. */
     std::unordered_map<Addr, BranchBehavior> behaviors;
 
@@ -75,6 +78,7 @@ WorkloadGenerator::buildCluster(unsigned phase_idx, Addr base)
     AddressStreamSpec mem_spec = ps.mem;
     mem_spec.base = 0x40000000ull + phase_idx * (256ull << 20);
     state->mem = std::make_unique<AddressStream>(mem_spec);
+    state->coldEscape = Chance(ps.coldEscapeProb);
 
     const unsigned total_blocks = ps.hotBlocks + ps.coldBlocks;
     Addr next_head = base;
@@ -311,8 +315,7 @@ WorkloadGenerator::pickNextBlock()
 {
     PhaseState &st = *phaseStates_[curPhaseIdx_];
 
-    if (!st.coldBlocks.empty() &&
-        rng_.bernoulli(spec_.phases[curPhaseIdx_].coldEscapeProb)) {
+    if (!st.coldBlocks.empty() && rng_.chance(st.coldEscape)) {
         return st.coldBlocks[rng_.below(st.coldBlocks.size())];
     }
 

@@ -6,12 +6,18 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <vector>
+
 #include "common/logging.hh"
+#include "common/random.hh"
+#include "uarch/agree.hh"
 #include "uarch/bimodal.hh"
 #include "uarch/bpu_complex.hh"
 #include "uarch/btb.hh"
 #include "uarch/gshare.hh"
 #include "uarch/local_predictor.hh"
+#include "uarch/perceptron.hh"
 #include "uarch/tournament.hh"
 #include "workload/branch_behavior.hh"
 
@@ -329,4 +335,69 @@ TEST(BpuComplex, SmallBtbServesWhileGated)
     bpu.predictIndirect(0x100, 0x700);  // installs in both BTBs
     bpu.gateLargeOff();
     EXPECT_FALSE(bpu.predictIndirect(0x100, 0x700).targetMiss);
+}
+
+// The shadow large predictor is forked on the first gate-off. An
+// eager shadow kept here (built as BpuComplex builds its large side
+// and trained on every branch) must give the same profiling rate
+// after every event of a random stream of branches, gate and ungate
+// events and window resets, for every large organization.
+TEST(BpuComplex, LazyShadowMatchesEagerShadow)
+{
+    const LargePredictorKind kinds[] = {LargePredictorKind::Tournament,
+                                        LargePredictorKind::Agree,
+                                        LargePredictorKind::Perceptron};
+    for (LargePredictorKind kind : kinds) {
+        SCOPED_TRACE(largePredictorKindName(kind));
+        BpuParams params;
+        params.largeKind = kind;
+        const TournamentParams &t = params.large;
+        std::unique_ptr<DirectionPredictor> shadow;
+        switch (kind) {
+          case LargePredictorKind::Tournament:
+            shadow = std::make_unique<TournamentPredictor>(t);
+            break;
+          case LargePredictorKind::Agree:
+            shadow = std::make_unique<AgreePredictor>(
+                t.globalEntries, t.localPatternEntries,
+                t.globalHistoryBits);
+            break;
+          case LargePredictorKind::Perceptron:
+            shadow = std::make_unique<PerceptronPredictor>(
+                t.localHistoryEntries, t.globalHistoryBits * 2);
+            break;
+        }
+        BpuComplex bpu(params);
+
+        Rng rng(static_cast<std::uint64_t>(kind) + 31);
+        // 64 branches, each with its own bias; a few follow a short
+        // loop pattern that only history-based predictors learn.
+        std::vector<double> bias(64);
+        for (double &b : bias)
+            b = rng.uniform();
+        const int first_gate = 3000 + static_cast<int>(rng.below(3000));
+        std::uint64_t trip = 0;
+        for (int step = 0; step < 30'000; ++step) {
+            const double u = rng.uniform();
+            if (step == first_gate || (step > first_gate && u < 0.01)) {
+                if (bpu.largeOn())
+                    bpu.gateLargeOff();
+                else
+                    bpu.gateLargeOn();
+            } else if (u < 0.03) {
+                bpu.resetWindowStats();
+                shadow->resetWindow();
+            } else {
+                const std::size_t b = rng.below(bias.size());
+                const Addr pc = 0x10000 + b * 16;
+                const bool taken = b < 8 ? (++trip % 4 != 0)
+                                         : rng.bernoulli(bias[b]);
+                bpu.predict(pc, taken, pc + 0x400);
+                shadow->predictAndTrain(pc, taken);
+            }
+            ASSERT_EQ(bpu.largeWindowMispredictRate(),
+                      shadow->windowMispredictRate())
+                << "step " << step;
+        }
+    }
 }

@@ -146,6 +146,25 @@ TEST(Rng, BernoulliRate)
     EXPECT_NEAR(hits / 20000.0, 0.3, 0.02);
 }
 
+// Rng::chance(Chance(p)) must be bernoulli(p) to the bit: the same
+// answers and the same draws, so the stream after each call agrees
+// too. Covers the no-draw edges, the smallest subnormal, 2^-53 and
+// 1 - 2^-53 (the extreme thresholds), and NaN (draws, never true).
+TEST(Rng, ChanceMatchesBernoulli)
+{
+    const double ps[] = {-1.0, 0.0, 4.9e-324, 0x1p-53, 0.01, 0.3, 0.5,
+                         0.95, 1.0 - 0x1p-53, 1.0, 2.0, std::nan("")};
+    for (double p : ps) {
+        SCOPED_TRACE(testing::Message() << "p = " << p);
+        Rng a(31), b(31);
+        const Chance c(p);
+        for (int i = 0; i < 5000; ++i) {
+            ASSERT_EQ(a.chance(c), b.bernoulli(p)) << "draw " << i;
+            ASSERT_EQ(a.next(), b.next()) << "draw " << i;
+        }
+    }
+}
+
 TEST(Rng, NormalMoments)
 {
     Rng r(23);
