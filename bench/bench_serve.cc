@@ -348,9 +348,8 @@ main(int argc, char **argv)
     std::printf("shed_rate=%.6f\n", shedRate);
     std::printf("retries=%llu\n",
                 static_cast<unsigned long long>(retriedN));
-    std::printf("request_latency_ms p50=%.3f p90=%.3f p99=%.3f "
-                "(%llu samples)\n",
-                lat.p50, lat.p90, lat.p99,
+    std::printf("request_latency_ms %s (%llu samples)\n",
+                lat.toString().c_str(),
                 static_cast<unsigned long long>(lat.samples));
 
     const std::string entry = csprintf(
@@ -360,9 +359,7 @@ main(int argc, char **argv)
         "\"busy\":%llu,\"retries\":%llu,"
         "\"wall_seconds\":%.6f,\"served_qps\":%.6f,"
         "\"hit_rate\":%.6f,\"shed_rate\":%.6f,"
-        "\"request_latency_ms\":{"
-        "\"samples\":%llu,\"p50\":%.6f,\"p90\":%.6f,"
-        "\"p99\":%.6f}}",
+        "\"request_latency_ms\":%s}",
         threads, points.size(),
         static_cast<unsigned long long>(done),
         static_cast<unsigned long long>(hit),
@@ -373,9 +370,7 @@ main(int argc, char **argv)
             ioErrors.load(std::memory_order_relaxed)),
         static_cast<unsigned long long>(shed),
         static_cast<unsigned long long>(retriedN),
-        wall, qps, hitRate, shedRate,
-        static_cast<unsigned long long>(lat.samples), lat.p50,
-        lat.p90, lat.p99);
+        wall, qps, hitRate, shedRate, lat.toJson().c_str());
     const std::string path =
         envString("POWERCHOP_RUNNER_JSON").value_or(
             "BENCH_runner.json");

@@ -1,7 +1,5 @@
 #include "common/stats.hh"
 
-#include <sstream>
-
 #include "common/logging.hh"
 
 namespace powerchop
@@ -9,76 +7,19 @@ namespace powerchop
 namespace stats
 {
 
-Distribution::Distribution(double min, double max, unsigned buckets)
-    : min_(min), max_(max),
-      bucketWidth_((max - min) / (buckets ? buckets : 1)),
-      buckets_(buckets, 0)
+std::string
+Quantiles::toJson() const
 {
-    if (buckets == 0)
-        panic("Distribution requires at least one bucket");
-    if (max <= min)
-        panic("Distribution requires max > min");
+    return csprintf("{\"samples\":%llu,\"p50\":%.6f,\"p90\":%.6f,"
+                    "\"p99\":%.6f}",
+                    static_cast<unsigned long long>(samples), p50, p90,
+                    p99);
 }
 
-void
-Distribution::sample(double v)
+std::string
+Quantiles::toString() const
 {
-    ++samples_;
-    sum_ += v;
-    if (v < min_) {
-        ++underflow_;
-        ++buckets_.front();
-    } else if (v >= max_) {
-        ++overflow_;
-        ++buckets_.back();
-    } else {
-        auto idx = static_cast<std::size_t>((v - min_) / bucketWidth_);
-        if (idx >= buckets_.size())
-            idx = buckets_.size() - 1;
-        ++buckets_[idx];
-    }
-}
-
-std::uint64_t
-Distribution::bucketCount(unsigned i) const
-{
-    if (i >= buckets_.size())
-        panic("Distribution bucket index %u out of range", i);
-    return buckets_[i];
-}
-
-double
-Distribution::mean() const
-{
-    return samples_ ? sum_ / static_cast<double>(samples_) : 0.0;
-}
-
-double
-Distribution::percentile(double p) const
-{
-    if (!(p >= 0.0 && p <= 1.0))
-        panic("Distribution percentile %f outside [0, 1]", p);
-    if (samples_ == 0)
-        panic("Distribution percentile of an empty distribution");
-    const double target = p * static_cast<double>(samples_);
-    std::uint64_t seen = 0;
-    for (std::size_t i = 0; i < buckets_.size(); ++i) {
-        seen += buckets_[i];
-        if (static_cast<double>(seen) >= target)
-            return min_ + bucketWidth_ * static_cast<double>(i + 1);
-    }
-    return max_;
-}
-
-void
-Distribution::reset()
-{
-    for (auto &b : buckets_)
-        b = 0;
-    samples_ = 0;
-    underflow_ = 0;
-    overflow_ = 0;
-    sum_ = 0.0;
+    return csprintf("p50=%.3f p90=%.3f p99=%.3f", p50, p90, p99);
 }
 
 Log2Histogram &
@@ -247,49 +188,6 @@ Log2Histogram::reset()
         b.store(0, std::memory_order_relaxed);
     samples_.store(0, std::memory_order_relaxed);
     sum_.store(0, std::memory_order_relaxed);
-}
-
-void
-Group::addScalar(const std::string &name, const Scalar *s)
-{
-    scalars_[name] = s;
-}
-
-void
-Group::addAverage(const std::string &name, const Average *a)
-{
-    averages_[name] = a;
-}
-
-std::string
-Group::dump() const
-{
-    std::ostringstream out;
-    for (const auto &[name, s] : scalars_)
-        out << name_ << "." << name << " " << s->value() << "\n";
-    for (const auto &[name, a] : averages_)
-        out << name_ << "." << name << " " << a->mean() << "\n";
-    return out.str();
-}
-
-std::string
-Group::toJson() const
-{
-    std::string out = "{";
-    bool first = true;
-    for (const auto &[name, s] : scalars_) {
-        out += csprintf("%s\"%s.%s\":%llu", first ? "" : ",",
-                        name_.c_str(), name.c_str(),
-                        static_cast<unsigned long long>(s->value()));
-        first = false;
-    }
-    for (const auto &[name, a] : averages_) {
-        out += csprintf("%s\"%s.%s\":%.10g", first ? "" : ",",
-                        name_.c_str(), name.c_str(), a->mean());
-        first = false;
-    }
-    out += "}";
-    return out;
 }
 
 } // namespace stats

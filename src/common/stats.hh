@@ -1,12 +1,11 @@
 /**
  * @file
- * Lightweight statistics package.
+ * Host-side latency statistics: Log2Histogram and its Quantiles.
  *
- * Models the small subset of the gem5 stats package the simulator
- * needs: named scalar counters, averages and distributions that can be
- * registered in a group, dumped as text, and reset between simulation
- * windows (the Criticality Decision Engine profiles phases by sampling
- * these counters at window boundaries).
+ * The runner, the campaign journal, the shard supervisor, the stage
+ * profiler and powerchopd time themselves into these histograms.
+ * They hold host measurements only; the simulator's own per-window
+ * counters live in PerfMonitor's WindowProfile, which the CDE reads.
  */
 
 #ifndef POWERCHOP_COMMON_STATS_HH
@@ -15,112 +14,12 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
-#include <map>
 #include <string>
-#include <vector>
 
 namespace powerchop
 {
 namespace stats
 {
-
-/** A named monotonically increasing scalar counter. */
-class Scalar
-{
-  public:
-    Scalar() = default;
-
-    Scalar &operator++() { ++value_; return *this; }
-    Scalar &operator+=(std::uint64_t n) { value_ += n; return *this; }
-
-    std::uint64_t value() const { return value_; }
-    void reset() { value_ = 0; }
-
-  private:
-    std::uint64_t value_ = 0;
-};
-
-/** A running mean of sampled values. */
-class Average
-{
-  public:
-    /** Record one sample. */
-    void
-    sample(double v)
-    {
-        sum_ += v;
-        ++count_;
-    }
-
-    /** @return the mean of all samples, or 0 if none. */
-    double
-    mean() const
-    {
-        return count_ ? sum_ / static_cast<double>(count_) : 0.0;
-    }
-
-    double sum() const { return sum_; }
-    std::uint64_t count() const { return count_; }
-
-    void
-    reset()
-    {
-        sum_ = 0.0;
-        count_ = 0;
-    }
-
-  private:
-    double sum_ = 0.0;
-    std::uint64_t count_ = 0;
-};
-
-/** A fixed-bucket histogram over [min, max). */
-class Distribution
-{
-  public:
-    /**
-     * @param min     Low edge of the first bucket.
-     * @param max     High edge of the last bucket.
-     * @param buckets Number of equal-width buckets.
-     */
-    Distribution(double min, double max, unsigned buckets);
-
-    /** Record one sample; out-of-range samples land in the edge
-     *  buckets and are counted in underflow/overflow. */
-    void sample(double v);
-
-    std::uint64_t bucketCount(unsigned i) const;
-    unsigned numBuckets() const { return buckets_.size(); }
-    std::uint64_t totalSamples() const { return samples_; }
-    std::uint64_t underflows() const { return underflow_; }
-    std::uint64_t overflows() const { return overflow_; }
-    double mean() const;
-
-    /**
-     * Approximate percentile from the histogram.
-     *
-     * Walks the buckets until the cumulative count reaches p of all
-     * samples and returns that bucket's upper edge (underflow and
-     * overflow samples count in the edge buckets, so results are
-     * clamped to [min, max]). Panics when p is outside [0, 1] or no
-     * samples were recorded.
-     *
-     * @param p Percentile in [0, 1], e.g. 0.99.
-     */
-    double percentile(double p) const;
-
-    void reset();
-
-  private:
-    double min_;
-    double max_;
-    double bucketWidth_;
-    std::vector<std::uint64_t> buckets_;
-    std::uint64_t samples_ = 0;
-    std::uint64_t underflow_ = 0;
-    std::uint64_t overflow_ = 0;
-    double sum_ = 0.0;
-};
 
 /** Summary quantiles of a Log2Histogram, in the sampled unit. */
 struct Quantiles
@@ -129,6 +28,13 @@ struct Quantiles
     double p50 = 0;
     double p90 = 0;
     double p99 = 0;
+
+    /** {"samples":N,"p50":..,"p90":..,"p99":..}, six decimals: the
+     *  one JSON form of every report, snapshot and STATS block. */
+    std::string toJson() const;
+
+    /** "p50=.. p90=.. p99=..", three decimals, for log lines. */
+    std::string toString() const;
 };
 
 /**
@@ -201,50 +107,6 @@ class Log2Histogram
     std::array<std::atomic<std::uint64_t>, kBuckets> buckets_{};
     std::atomic<std::uint64_t> samples_{0};
     std::atomic<std::uint64_t> sum_{0};
-};
-
-/**
- * A named group of statistics, dumpable as "name value" lines.
- *
- * Groups do not own the stats; they reference stats owned by the
- * component objects, mirroring gem5's registration style.
- */
-class Group
-{
-  public:
-    explicit Group(std::string name) : name_(std::move(name)) {}
-
-    /** Register a scalar under this group. The scalar must outlive the
-     *  group. */
-    void addScalar(const std::string &name, const Scalar *s);
-
-    /** Register an average under this group. */
-    void addAverage(const std::string &name, const Average *a);
-
-    /** Render all registered stats as text, one per line. */
-    std::string dump() const;
-
-    /** Render as a JSON object: {"<group>.<stat>": value, ...}.
-     *  Scalars render as integers, averages as their mean. */
-    std::string toJson() const;
-
-    const std::string &name() const { return name_; }
-
-    /** Registered stats by name (iteration order is sorted). @{ */
-    const std::map<std::string, const Scalar *> &scalars() const
-    {
-        return scalars_;
-    }
-    const std::map<std::string, const Average *> &averages() const
-    {
-        return averages_;
-    }
-    /** @} */
-
-  private:
-    std::string name_;
-    std::map<std::string, const Scalar *> scalars_;
-    std::map<std::string, const Average *> averages_;
 };
 
 } // namespace stats

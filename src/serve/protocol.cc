@@ -41,6 +41,19 @@ responseStatusName(ResponseStatus s)
     return "ERR";
 }
 
+bool
+parseContentKey(const std::string &text, std::uint64_t &key)
+{
+    if (text.empty() || text.size() > 16)
+        return false;
+    for (char c : text) {
+        if (!std::isxdigit(static_cast<unsigned char>(c)))
+            return false;
+    }
+    key = std::strtoull(text.c_str(), nullptr, 16);
+    return true;
+}
+
 Request
 parseRequestLine(const std::string &line)
 {
@@ -50,19 +63,10 @@ parseRequestLine(const std::string &line)
         return req;
     }
     if (line.rfind("GET ", 0) == 0) {
-        const std::string hex = line.substr(4);
-        if (hex.empty() || hex.size() > 16) {
+        if (parseContentKey(line.substr(4), req.key))
+            req.verb = RequestVerb::Get;
+        else
             req.error = "GET wants a 1..16 hex-digit key";
-            return req;
-        }
-        for (char c : hex) {
-            if (!std::isxdigit(static_cast<unsigned char>(c))) {
-                req.error = "GET key is not hex";
-                return req;
-            }
-        }
-        req.verb = RequestVerb::Get;
-        req.key = std::strtoull(hex.c_str(), nullptr, 16);
         return req;
     }
     if (line.rfind("SIM ", 0) == 0) {

@@ -73,6 +73,11 @@ enum class ResponseStatus
 /** @return the wire token ("HIT", "OK", "MISS", "ERR", "BUSY"). */
 const char *responseStatusName(ResponseStatus s);
 
+/** Parse a content key as the wire spells it: 1 to 16 hex digits and
+ *  nothing else (no sign, blank or 0x prefix). @return false, leaving
+ *  `key` untouched, for anything else. */
+bool parseContentKey(const std::string &text, std::uint64_t &key);
+
 /** Parse a request line (no trailing newline). Never throws: a
  *  malformed line parses to Bad with `error` set. */
 Request parseRequestLine(const std::string &line);

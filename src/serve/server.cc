@@ -184,35 +184,6 @@ setNonBlocking(int fd)
 
 } // namespace
 
-std::string
-ServeReport::summary() const
-{
-    return csprintf(
-        "%llu requests (%llu get, %llu sim, %llu err) in %.1fs: "
-        "%llu hits, %llu misses, %llu evictions, %llu jobs "
-        "simulated, %zu warm-started, %llu keys / %llu bytes "
-        "resident; %llu conns + %llu requests shed, %llu deadline-"
-        "cancelled, %llu idle-reaped, %llu compactions, %llu "
-        "dropped in flight",
-        static_cast<unsigned long long>(requests),
-        static_cast<unsigned long long>(gets),
-        static_cast<unsigned long long>(sims),
-        static_cast<unsigned long long>(errors), wallSeconds,
-        static_cast<unsigned long long>(cache.hits),
-        static_cast<unsigned long long>(cache.misses),
-        static_cast<unsigned long long>(cache.evictions),
-        static_cast<unsigned long long>(simulatedJobs),
-        warmStarted,
-        static_cast<unsigned long long>(cache.entries),
-        static_cast<unsigned long long>(cache.bytes),
-        static_cast<unsigned long long>(shedConnections),
-        static_cast<unsigned long long>(shedRequests),
-        static_cast<unsigned long long>(deadlineCancels),
-        static_cast<unsigned long long>(idleReaped),
-        static_cast<unsigned long long>(cache.compactions),
-        static_cast<unsigned long long>(droppedInFlight));
-}
-
 SimServer::SimServer(const ServeOptions &opts)
     : opts_(opts), cache_(opts.cache),
       runner_(opts.runnerThreads)
@@ -388,103 +359,54 @@ SimServer::drainConnections()
         for (Conn &c : conns_) {
             if (!c.done.load(std::memory_order_acquire) &&
                 c.busy.load(std::memory_order_acquire)) {
-                droppedInFlight_.fetch_add(
-                    1, std::memory_order_relaxed);
+                count(ServeMetric::DroppedInFlight);
             }
         }
     }
     reapConnections(true);
 }
 
-ServeReport
-SimServer::reportLocked() const
+ServeStats
+SimServer::stats() const
 {
-    ServeReport rep;
-    rep.requests = requests_.load(std::memory_order_relaxed);
-    rep.gets = gets_.load(std::memory_order_relaxed);
-    rep.sims = sims_.load(std::memory_order_relaxed);
-    rep.errors = errors_.load(std::memory_order_relaxed);
-    rep.simulatedJobs =
-        simulatedJobs_.load(std::memory_order_relaxed);
-    rep.warmStarted = cache_.warmStarted();
-    rep.wallSeconds =
+    ServeStats s;
+    for (unsigned i = 0; i < ServeMetric::Count; ++i) {
+        s.counters[i] = counters_[i].load(std::memory_order_relaxed);
+        s.histograms[i] = histogramsNs_[i].quantiles(1e-6);
+    }
+    const ResultCacheStats cache = cache_.stats();
+    s.counters[ServeMetric::Hits] = cache.hits;
+    s.counters[ServeMetric::Misses] = cache.misses;
+    s.counters[ServeMetric::Insertions] = cache.insertions;
+    s.counters[ServeMetric::Evictions] = cache.evictions;
+    s.counters[ServeMetric::Entries] = cache.entries;
+    s.counters[ServeMetric::Bytes] = cache.bytes;
+    s.counters[ServeMetric::WarmStarted] = cache_.warmStarted();
+    s.counters[ServeMetric::Compactions] = cache.compactions;
+    s.counters[ServeMetric::JournalRecords] = cache.journalRecords;
+    s.counters[ServeMetric::JournalDeadRecords] =
+        cache.journalDeadRecords;
+
+    const std::uint64_t lookups = cache.hits + cache.misses;
+    s.gauges[ServeMetric::HitRate] = lookups > 0
+        ? static_cast<double>(cache.hits) / static_cast<double>(lookups)
+        : 0;
+    s.uptimeSeconds =
         startedAt_ > 0 ? monotonicSeconds() - startedAt_ : 0;
-    rep.cache = cache_.stats();
-    rep.requestLatencyMs = requestLatencyNs_.quantiles(1e-6);
-    rep.shedConnections =
-        shedConnections_.load(std::memory_order_relaxed);
-    rep.shedRequests = shedRequests_.load(std::memory_order_relaxed);
-    rep.deadlineCancels =
-        deadlineCancels_.load(std::memory_order_relaxed);
-    rep.idleReaped = idleReaped_.load(std::memory_order_relaxed);
-    rep.readTimeouts = readTimeouts_.load(std::memory_order_relaxed);
-    rep.acceptRetries =
-        acceptRetries_.load(std::memory_order_relaxed);
-    rep.droppedInFlight =
-        droppedInFlight_.load(std::memory_order_relaxed);
-    return rep;
+    s.gauges[ServeMetric::Qps] = s.uptimeSeconds > 0
+        ? static_cast<double>(s.counters[ServeMetric::Requests]) /
+              s.uptimeSeconds
+        : 0;
+    return s;
 }
 
 std::string
 SimServer::statsJson() const
 {
-    const ServeReport rep = reportLocked();
-    const double qps = rep.wallSeconds > 0
-                           ? static_cast<double>(rep.requests) /
-                                 rep.wallSeconds
-                           : 0;
-    const double hitRate =
-        rep.cache.hits + rep.cache.misses > 0
-            ? static_cast<double>(rep.cache.hits) /
-                  static_cast<double>(rep.cache.hits +
-                                      rep.cache.misses)
-            : 0;
-    std::string s = csprintf(
-        "{\"schema\":\"powerchop-serve-stats-v1\","
-        "\"uptime_seconds\":%.6f,\"requests\":%llu,\"gets\":%llu,"
-        "\"sims\":%llu,\"errors\":%llu,\"simulated_jobs\":%llu,"
-        "\"hits\":%llu,\"misses\":%llu,\"hit_rate\":%.6f,"
-        "\"insertions\":%llu,\"evictions\":%llu,\"entries\":%llu,"
-        "\"bytes\":%llu,\"warm_started\":%zu,\"qps\":%.6f",
-        rep.wallSeconds,
-        static_cast<unsigned long long>(rep.requests),
-        static_cast<unsigned long long>(rep.gets),
-        static_cast<unsigned long long>(rep.sims),
-        static_cast<unsigned long long>(rep.errors),
-        static_cast<unsigned long long>(rep.simulatedJobs),
-        static_cast<unsigned long long>(rep.cache.hits),
-        static_cast<unsigned long long>(rep.cache.misses), hitRate,
-        static_cast<unsigned long long>(rep.cache.insertions),
-        static_cast<unsigned long long>(rep.cache.evictions),
-        static_cast<unsigned long long>(rep.cache.entries),
-        static_cast<unsigned long long>(rep.cache.bytes),
-        rep.warmStarted, qps);
-    s += csprintf(
-        ",\"shed_connections\":%llu,\"shed_requests\":%llu,"
-        "\"deadline_cancels\":%llu,\"idle_reaped\":%llu,"
-        "\"read_timeouts\":%llu,\"accept_retries\":%llu,"
-        "\"dropped_in_flight\":%llu,\"compactions\":%llu,"
-        "\"journal_records\":%llu,\"journal_dead_records\":%llu",
-        static_cast<unsigned long long>(rep.shedConnections),
-        static_cast<unsigned long long>(rep.shedRequests),
-        static_cast<unsigned long long>(rep.deadlineCancels),
-        static_cast<unsigned long long>(rep.idleReaped),
-        static_cast<unsigned long long>(rep.readTimeouts),
-        static_cast<unsigned long long>(rep.acceptRetries),
-        static_cast<unsigned long long>(rep.droppedInFlight),
-        static_cast<unsigned long long>(rep.cache.compactions),
-        static_cast<unsigned long long>(rep.cache.journalRecords),
-        static_cast<unsigned long long>(
-            rep.cache.journalDeadRecords));
-    const stats::Quantiles &q = rep.requestLatencyMs;
-    if (q.samples > 0) {
-        s += csprintf(",\"request_latency_ms\":{\"samples\":%llu,"
-                      "\"p50\":%.6f,\"p90\":%.6f,\"p99\":%.6f}",
-                      static_cast<unsigned long long>(q.samples),
-                      q.p50, q.p90, q.p99);
-    }
-    s += "}\n";
-    return s;
+    const ServeStats s = stats();
+    return csprintf("{\"schema\":\"powerchop-serve-stats-v1\","
+                    "\"uptime_seconds\":%.6f,%s}\n",
+                    s.uptimeSeconds, s.toJson().c_str());
 }
 
 ResponseStatus
@@ -544,7 +466,7 @@ SimServer::handleSim(const std::string &specJson,
             simWaiters_.fetch_add(1, std::memory_order_acq_rel) >=
                 opts_.simQueueDepth) {
             simWaiters_.fetch_sub(1, std::memory_order_acq_rel);
-            shedRequests_.fetch_add(1, std::memory_order_relaxed);
+            count(ServeMetric::ShedRequests);
             payload = csprintf(
                 "sim admission queue full (%u deep): retry after "
                 "backoff\n",
@@ -566,8 +488,7 @@ SimServer::handleSim(const std::string &specJson,
             if (!simFree_.wait_until(lock, deadline.timePoint(),
                                      [this] { return !simBusy_; })) {
                 simWaiters_.fetch_sub(1, std::memory_order_acq_rel);
-                deadlineCancels_.fetch_add(
-                    1, std::memory_order_relaxed);
+                count(ServeMetric::DeadlineCancels);
                 payload = csprintf(
                     "deadline: request exceeded the %.3fs wall "
                     "deadline waiting for the runner\n",
@@ -607,10 +528,9 @@ SimServer::handleSim(const std::string &specJson,
             }
         }
         result.executed = missIdx.size();
-        simulatedJobs_.fetch_add(missIdx.size(),
-                                 std::memory_order_relaxed);
+        count(ServeMetric::SimulatedJobs, missIdx.size());
         if (deadline.expired() && batch.resumableCount() > 0) {
-            deadlineCancels_.fetch_add(1, std::memory_order_relaxed);
+            count(ServeMetric::DeadlineCancels);
             payload = csprintf(
                 "deadline: SIM exceeded the %.3fs wall deadline "
                 "(%zu of %zu fresh jobs cancelled; finished jobs "
@@ -641,7 +561,7 @@ SimServer::handleConnection(Conn *conn)
             if (reader.buffered()) {
                 // A half-sent request is a broken (or hostile)
                 // peer: tell it why, then hang up.
-                readTimeouts_.fetch_add(1, std::memory_order_relaxed);
+                count(ServeMetric::ReadTimeouts);
                 writeResponseDeadline(
                     conn->fd, ResponseStatus::Err,
                     "deadline: request read timed out mid-frame\n",
@@ -649,7 +569,7 @@ SimServer::handleConnection(Conn *conn)
             } else {
                 // Idle between requests past the budget: a slot a
                 // live client could be using. Close quietly.
-                idleReaped_.fetch_add(1, std::memory_order_relaxed);
+                count(ServeMetric::IdleReaped);
             }
             break;
         }
@@ -664,20 +584,20 @@ SimServer::handleConnection(Conn *conn)
         conn->busy.store(true, std::memory_order_release);
         const std::int64_t t0 = monotonicNanos();
         const Request req = parseRequestLine(line);
-        requests_.fetch_add(1, std::memory_order_relaxed);
+        count(ServeMetric::Requests);
 
         ResponseStatus status = ResponseStatus::Err;
         std::string payload;
         switch (req.verb) {
           case RequestVerb::Get: {
-            gets_.fetch_add(1, std::memory_order_relaxed);
+            count(ServeMetric::Gets);
             status = cache_.get(req.key, &payload)
                          ? ResponseStatus::Hit
                          : ResponseStatus::Miss;
             break;
           }
           case RequestVerb::Sim:
-            sims_.fetch_add(1, std::memory_order_relaxed);
+            count(ServeMetric::Sims);
             status = handleSim(req.spec, payload);
             break;
           case RequestVerb::Stats:
@@ -689,12 +609,12 @@ SimServer::handleConnection(Conn *conn)
             break;
         }
         if (status == ResponseStatus::Err)
-            errors_.fetch_add(1, std::memory_order_relaxed);
+            count(ServeMetric::Errors);
 
         const bool sent =
             writeResponseDeadline(conn->fd, status, payload, writeMs);
-        requestLatencyNs_.sample(static_cast<std::uint64_t>(
-            monotonicNanos() - t0));
+        histogramsNs_[ServeMetric::RequestLatencyMs].sample(
+            static_cast<std::uint64_t>(monotonicNanos() - t0));
         conn->busy.store(false, std::memory_order_release);
         if (!sent)
             break; // peer went away (or stalled) mid-response
@@ -712,7 +632,7 @@ SimServer::handleConnection(Conn *conn)
         allClosed_.stop();
 }
 
-ServeReport
+ServeStats
 SimServer::run()
 {
     startedAt_ = monotonicSeconds();
@@ -736,28 +656,12 @@ SimServer::run()
         publisher = std::make_unique<StatusPublisher>(
             opts_.statusPath, opts_.statusIntervalSeconds);
         const auto makeSnapshot = [this](bool finished) {
-            const ServeReport rep = reportLocked();
             StatusSnapshot snap;
             snap.role = "server";
             snap.label = "powerchopd";
-            snap.jobsTotal = snap.jobsDone =
-                static_cast<std::size_t>(rep.simulatedJobs);
-            snap.jobsOk = snap.jobsDone;
-            snap.serve.requests = rep.requests;
-            snap.serve.hits = rep.cache.hits;
-            snap.serve.misses = rep.cache.misses;
-            snap.serve.evictions = rep.cache.evictions;
-            snap.serve.entries = rep.cache.entries;
-            snap.serve.bytes = rep.cache.bytes;
-            snap.serve.qps = rep.wallSeconds > 0
-                ? static_cast<double>(rep.requests) /
-                      rep.wallSeconds
-                : 0;
-            snap.serve.shedConnections = rep.shedConnections;
-            snap.serve.shedRequests = rep.shedRequests;
-            snap.serve.deadlineCancels = rep.deadlineCancels;
-            snap.serve.compactions = rep.cache.compactions;
-            snap.serve.requestLatencyMs = rep.requestLatencyMs;
+            snap.serve = stats();
+            snap.jobsTotal = snap.jobsDone = snap.jobsOk =
+                snap.serve.counters[ServeMetric::SimulatedJobs];
             snap.finished = finished;
             return snap;
         };
@@ -792,8 +696,7 @@ SimServer::run()
                             "[powerchopd] accept failed: %s "
                             "(backing off)",
                             std::strerror(errno));
-                acceptRetries_.fetch_add(1,
-                                         std::memory_order_relaxed);
+                count(ServeMetric::AcceptRetries);
                 std::this_thread::sleep_for(
                     std::chrono::milliseconds(10));
                 continue;
@@ -801,7 +704,7 @@ SimServer::run()
             static LogRateLimiter limiter(2.0, 10.0);
             warnLimited(limiter, "[powerchopd] accept failed: %s",
                         std::strerror(errno));
-            acceptRetries_.fetch_add(1, std::memory_order_relaxed);
+            count(ServeMetric::AcceptRetries);
             continue;
         }
         setNonBlocking(fd);
@@ -810,7 +713,7 @@ SimServer::run()
             // Over the cap: shed loudly (BUSY, not silence) so a
             // well-behaved client backs off instead of retrying
             // into a black hole.
-            shedConnections_.fetch_add(1, std::memory_order_relaxed);
+            count(ServeMetric::ShedConnections);
             writeResponseDeadline(
                 fd, ResponseStatus::Busy,
                 csprintf("connection cap (%u) reached: retry "
@@ -847,7 +750,7 @@ SimServer::run()
         statusStop.stop();
         statusThread.join();
     }
-    ServeReport rep = reportLocked();
+    ServeStats rep = stats();
     event(rep.summary());
     return rep;
 }

@@ -19,15 +19,16 @@
  * byte-identical to the report.json a direct `powerchop campaign` of
  * the same matrix writes.
  *
- * The daemon publishes a "server" statusboard snapshot (hit/miss/
- * eviction counters, QPS, request latency quantiles) into
- * `<dir>/status/`, so `powerchop status` and `status --prom` watch a
- * serving daemon exactly like a running campaign.
+ * The daemon publishes a "server" statusboard snapshot (every row of
+ * the serve table, sim/statusboard.hh) into `<dir>/status/`, so
+ * `powerchop status` and `status --prom` watch a serving daemon
+ * exactly like a running campaign, and STATS answers the same rows.
  */
 
 #ifndef POWERCHOP_SERVE_SERVER_HH
 #define POWERCHOP_SERVE_SERVER_HH
 
+#include <array>
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
@@ -43,6 +44,7 @@
 #include "serve/protocol.hh"
 #include "serve/result_cache.hh"
 #include "sim/sim_runner.hh"
+#include "sim/statusboard.hh"
 
 namespace powerchop
 {
@@ -113,36 +115,6 @@ struct ServeOptions
     std::function<void(const std::string &)> onEvent;
 };
 
-/** What a daemon lifetime accomplished. */
-struct ServeReport
-{
-    std::uint64_t requests = 0; ///< All verbs, ERR included.
-    std::uint64_t gets = 0;
-    std::uint64_t sims = 0;
-    std::uint64_t errors = 0;   ///< Requests answered ERR.
-    std::uint64_t simulatedJobs = 0; ///< Jobs executed fresh.
-    std::size_t warmStarted = 0; ///< Cache entries from the journal.
-    double wallSeconds = 0;
-    ResultCacheStats cache;
-    stats::Quantiles requestLatencyMs;
-
-    /** Hardening counters. @{ */
-    std::uint64_t shedConnections = 0; ///< BUSY at the accept gate.
-    std::uint64_t shedRequests = 0;    ///< BUSY at SIM admission.
-    std::uint64_t deadlineCancels = 0; ///< SIMs cancelled by wall
-                                       ///< deadline (ERR deadline).
-    std::uint64_t idleReaped = 0;      ///< Idle conns timed out.
-    std::uint64_t readTimeouts = 0;    ///< Mid-frame read stalls.
-    std::uint64_t acceptRetries = 0;   ///< accept() EMFILE/ENFILE/
-                                       ///< transient failures.
-    std::uint64_t droppedInFlight = 0; ///< Requests force-closed at
-                                       ///< the drain deadline.
-    /** @} */
-
-    /** One-line human-readable summary. */
-    std::string summary() const;
-};
-
 /**
  * The daemon. Construction binds and listens (throws IoError when
  * the address is unusable), run() serves until the stop flag rises,
@@ -157,8 +129,9 @@ class SimServer
     SimServer(const SimServer &) = delete;
     SimServer &operator=(const SimServer &) = delete;
 
-    /** Serve until the stop flag rises. One call per server. */
-    ServeReport run();
+    /** Serve until the stop flag rises, then report the lifetime
+     *  totals. One call per server. */
+    ServeStats run();
 
     /** The bound TCP port (after construction; 0 for Unix). */
     unsigned short boundPort() const { return boundPort_; }
@@ -177,7 +150,15 @@ class SimServer
     ResponseStatus handleSim(const std::string &specJson,
                              std::string &payload);
     std::string statsJson() const;
-    ServeReport reportLocked() const;
+    ServeStats stats() const; ///< Every serve table row, now.
+
+    /** Bump a daemon-side counter row. */
+    void
+    count(ServeMetric::Row m, std::uint64_t n = 1)
+    {
+        counters_[m].fetch_add(n, std::memory_order_relaxed);
+    }
+
     void reapConnections(bool all);
     void drainConnections();
     bool allDone() const; ///< Every handler finished; connMutex_ held.
@@ -217,12 +198,12 @@ class SimServer
      *  has begun, waking drainConnections(). */
     StopLatch allClosed_;
 
-    std::atomic<std::uint64_t> requests_{0}, gets_{0}, sims_{0},
-        errors_{0}, simulatedJobs_{0};
-    std::atomic<std::uint64_t> shedConnections_{0},
-        shedRequests_{0}, deadlineCancels_{0}, idleReaped_{0},
-        readTimeouts_{0}, acceptRetries_{0}, droppedInFlight_{0};
-    stats::Log2Histogram requestLatencyNs_;
+    /** Live storage of the serve table's daemon-side rows, indexed
+     *  by row. The cache-side rows come from cache_.stats(). @{ */
+    std::array<std::atomic<std::uint64_t>, ServeMetric::Count>
+        counters_{};
+    std::array<stats::Log2Histogram, ServeMetric::Count> histogramsNs_;
+    /** @} */
 };
 
 } // namespace powerchop

@@ -451,10 +451,7 @@ runCampaign(SimJobRunner &runner, const std::vector<SimJob> &jobs,
         snap.jobLatencyMs =
             runner.report().taskLatencyNs.quantiles(1e-6);
         snap.fsyncLatencyMs = fsync_latency_ns.quantiles(1e-6);
-        telemetry::StageProfiler &prof =
-            telemetry::StageProfiler::global();
-        if (prof.enabled())
-            snap.stages = prof.snapshot();
+        snap.stages = telemetry::StageProfiler::global().snapshot();
         return snap;
     };
 

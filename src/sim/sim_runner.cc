@@ -211,9 +211,8 @@ RunnerReport::toString() const
         }
     }
     if (taskLatencyNs.samples() > 0) {
-        const stats::Quantiles q = taskLatencyNs.quantiles(1e-6);
-        s += csprintf("; task latency ms: p50=%.3f p90=%.3f p99=%.3f",
-                      q.p50, q.p90, q.p99);
+        s += "; task latency ms: " +
+             taskLatencyNs.quantiles(1e-6).toString();
     }
     return s;
 }
@@ -270,12 +269,8 @@ RunnerReport::toJson(const std::string &name) const
         s += "}";
     }
     if (taskLatencyNs.samples() > 0) {
-        const stats::Quantiles q = taskLatencyNs.quantiles(1e-6);
-        s += csprintf(
-            ",\"task_latency_ms\":{\"samples\":%llu,\"p50\":%.6f,"
-            "\"p90\":%.6f,\"p99\":%.6f}",
-            static_cast<unsigned long long>(q.samples), q.p50, q.p90,
-            q.p99);
+        s += ",\"task_latency_ms\":" +
+             taskLatencyNs.quantiles(1e-6).toJson();
     }
     s += "}";
     return s;
@@ -405,8 +400,7 @@ SimJobRunner::runTasks(std::size_t count,
         report_.busySeconds += batchBusySeconds_;
         report_.instructions +=
             simulatedInstructionTally() - tally_before;
-        if (profiler_.enabled())
-            report_.stages = profiler_.snapshot();
+        report_.stages = telemetry::StageProfiler::global().snapshot();
     }
 
     if (first_error)
@@ -600,7 +594,9 @@ SimJobRunner::runRobust(const std::vector<SimJob> &jobs,
             // own stage so the report separates productive first-run
             // time from recovery time.
             telemetry::ScopedStageTimer retry_timer(
-                attempt > 1 ? &profiler_ : nullptr, "retry");
+                attempt > 1 ? &telemetry::StageProfiler::global()
+                            : nullptr,
+                telemetry::Stage::Retry);
 
             try {
                 batch.results[i] =

@@ -243,9 +243,9 @@ struct RunnerReport
     std::uint64_t translationCacheMisses = 0;
     /** @} */
 
-    /** Wall-clock stage breakdown (translate / simulate / retry),
-     *  populated only when POWERCHOP_PROFILE enables the runner's
-     *  stage profiler; toString()/toJson() render it only when
+    /** Wall-clock stage breakdown (one entry per telemetry::Stage),
+     *  populated only when POWERCHOP_PROFILE or --profile enables
+     *  the stage profiler; toString()/toJson() render it only when
      *  non-empty, keeping unprofiled reports byte-identical. */
     std::vector<telemetry::StageTime> stages;
 
@@ -360,11 +360,6 @@ class SimJobRunner
      *  unrelated experiment sets. */
     TranslationMetadataCache &translationCache() { return transCache_; }
 
-    /** The stage profiler snapshotted into the runner report — the
-     *  process-global profiler (enabled by POWERCHOP_PROFILE), which
-     *  simulate() records into unless a job attached its own. */
-    telemetry::StageProfiler &profiler() { return profiler_; }
-
   private:
     void workerLoop();
 
@@ -386,8 +381,6 @@ class SimJobRunner
 
     RunnerReport report_;
     TranslationMetadataCache transCache_;
-    telemetry::StageProfiler &profiler_ =
-        telemetry::StageProfiler::global();
 };
 
 } // namespace powerchop

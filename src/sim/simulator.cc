@@ -41,10 +41,10 @@ simulate(const MachineConfig &machine, const WorkloadSpec &workload,
     if (opts.maxInstructions == 0)
         fatal("simulate: zero instruction budget");
 
-    telemetry::StageProfiler *profiler = opts.profiler;
-    if (!profiler && telemetry::StageProfiler::global().enabled())
-        profiler = &telemetry::StageProfiler::global();
-    telemetry::ScopedStageTimer translate_timer(profiler, "translate");
+    telemetry::StageProfiler *profiler =
+        &telemetry::StageProfiler::global();
+    telemetry::ScopedStageTimer translate_timer(
+        profiler, telemetry::Stage::Translate);
 
     // Shared translation metadata: jobs of the same workload in a
     // batch derive the trace metadata once and share it. Purely a
@@ -81,11 +81,13 @@ simulate(const MachineConfig &machine, const WorkloadSpec &workload,
     // Decode every block into its structure-of-arrays slot stream
     // (workload/block_batch.hh), attributed to its own stage.
     {
-        telemetry::ScopedStageTimer decode_timer(profiler, "decode");
+        telemetry::ScopedStageTimer decode_timer(
+            profiler, telemetry::Stage::Decode);
         gen.prepareBatches();
     }
 
-    telemetry::ScopedStageTimer simulate_timer(profiler, "simulate");
+    telemetry::ScopedStageTimer simulate_timer(
+        profiler, telemetry::Stage::Simulate);
 
     // The loop runs one basic block per iteration: the head work
     // (trace matching, region entry, baseline gater ticks) happens

@@ -30,7 +30,6 @@ namespace telemetry
 {
 class TraceRecorder;
 class MetricsRegistry;
-class StageProfiler;
 } // namespace telemetry
 
 class TranslationMetadataCache;
@@ -120,13 +119,6 @@ struct SimOptions
      * callbacks are detached before simulate() returns.
      */
     telemetry::MetricsRegistry *metrics = nullptr;
-
-    /**
-     * Optional wall-clock stage profiler; simulate() records its
-     * construction ("translate") and execution ("simulate") stages.
-     * Shared across jobs and internally locked.
-     */
-    telemetry::StageProfiler *profiler = nullptr;
 
     /**
      * Run the invariant auditor (verify/invariant_auditor.hh) on the

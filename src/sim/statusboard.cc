@@ -5,6 +5,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <climits>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -19,6 +20,44 @@ namespace powerchop
 {
 
 const char *const kStatusSchema = "powerchop-status-v1";
+
+using enum ServeMetricKind;
+
+const std::array<ServeMetricDef, ServeMetric::Count> kServeMetrics = {{
+    {"requests", "Requests handled by powerchopd", Counter},
+    {"gets", "GET requests handled", Counter},
+    {"sims", "SIM requests handled", Counter},
+    {"errors", "Requests answered ERR", Counter},
+    {"simulated_jobs", "Jobs simulated fresh", Counter},
+    {"hits", "Result-cache key hits", Counter},
+    {"misses", "Result-cache key misses (simulated fresh)", Counter},
+    {"hit_rate", "Result-cache hits / (hits + misses)", Gauge},
+    {"insertions", "Result-cache insertions", Counter},
+    {"evictions", "LRU entries evicted for space", Counter},
+    {"entries", "Cache keys resident", Counter},
+    {"bytes", "Cache payload bytes resident", Counter},
+    {"warm_started", "Cache entries replayed from the journal at start",
+     Counter},
+    {"qps", "Requests per second since daemon start", Gauge},
+    {"shed_connections", "Connections shed BUSY at the accept gate",
+     Counter},
+    {"shed_requests", "SIM requests shed BUSY at admission", Counter},
+    {"deadline_cancels", "Requests cancelled by the wall deadline",
+     Counter},
+    {"idle_reaped", "Idle connections closed by the idle timeout",
+     Counter},
+    {"read_timeouts", "Requests stalled mid-frame past the read timeout",
+     Counter},
+    {"accept_retries", "accept() failures retried", Counter},
+    {"dropped_in_flight", "Requests force-closed at the drain deadline",
+     Counter},
+    {"compactions", "Cache journal compactions", Counter},
+    {"journal_records", "Cache journal records on disk", Counter},
+    {"journal_dead_records", "Cache journal records evicted or duplicate",
+     Counter},
+    {"request_latency_ms", "Request wall latency quantiles (ms)",
+     Histogram},
+}};
 
 namespace
 {
@@ -47,16 +86,6 @@ sanitizeEta(double eta)
     return std::isfinite(eta) && eta >= 0.0 ? eta : -1.0;
 }
 
-/** Inline quantile cell for table rows: `—` when nothing sampled. */
-std::string
-quantilesCell(const stats::Quantiles &q)
-{
-    if (q.samples == 0)
-        return "—";
-    return csprintf("p50=%.3f p90=%.3f p99=%.3f", q.p50, q.p90,
-                    q.p99);
-}
-
 /** Wall-clock now with sub-second precision (file-age display only;
  *  deadlines elsewhere stay on the monotonic clock). */
 double
@@ -69,17 +98,13 @@ wallNow()
            static_cast<double>(ts.tv_nsec) * 1e-9;
 }
 
-/** Render one Quantiles block ("key":{...}) or "" when empty. */
+/** Render one Quantiles block (,"key":{...}) or "" when empty. */
 std::string
 quantilesJson(const char *key, const stats::Quantiles &q)
 {
     if (q.samples == 0)
         return std::string();
-    return csprintf(
-        ",\"%s\":{\"samples\":%llu,\"p50\":%s,\"p90\":%s,\"p99\":%s}",
-        key, static_cast<unsigned long long>(q.samples),
-        fmtDouble(q.p50).c_str(), fmtDouble(q.p90).c_str(),
-        fmtDouble(q.p99).c_str());
+    return csprintf(",\"%s\":%s", key, q.toJson().c_str());
 }
 
 void
@@ -113,6 +138,53 @@ readWholeFile(const std::string &path, std::string &out)
 }
 
 } // namespace
+
+std::string
+ServeStats::toJson() const
+{
+    std::string s;
+    for (unsigned i = 0; i < ServeMetric::Count; ++i) {
+        const ServeMetricDef &row = kServeMetrics[i];
+        if (row.kind == Histogram && histograms[i].samples == 0)
+            continue;
+        const std::string value = row.kind == Counter
+            ? std::to_string(counters[i])
+            : row.kind == Gauge ? fmtDouble(gauges[i])
+                                : histograms[i].toJson();
+        s += csprintf("%s\"%s\":%s", s.empty() ? "" : ",", row.key,
+                      value.c_str());
+    }
+    return s;
+}
+
+std::string
+ServeStats::summary() const
+{
+    std::string s = csprintf(
+        "%llu req (%llu hit / %llu miss)",
+        static_cast<unsigned long long>(counters[ServeMetric::Requests]),
+        static_cast<unsigned long long>(counters[ServeMetric::Hits]),
+        static_cast<unsigned long long>(counters[ServeMetric::Misses]));
+    for (unsigned i = 0; i < ServeMetric::Count; ++i) {
+        if (i == ServeMetric::Requests || i == ServeMetric::Hits ||
+            i == ServeMetric::Misses)
+            continue; // in the headline
+        const ServeMetricDef &row = kServeMetrics[i];
+        std::string words = row.key;
+        std::replace(words.begin(), words.end(), '_', ' ');
+        if (row.kind == Histogram) {
+            // An em dash, not the zeros of an empty histogram.
+            s += ", " + words + " " +
+                 (histograms[i].samples ? histograms[i].toString() : "—");
+        } else {
+            s += ", " +
+                 (row.kind == Counter ? std::to_string(counters[i])
+                                      : csprintf("%.3f", gauges[i])) +
+                 " " + words;
+        }
+    }
+    return s;
+}
 
 std::string
 StatusSnapshot::toJson() const
@@ -174,29 +246,8 @@ StatusSnapshot::toJson() const
         s += "]";
     }
 
-    if (serve.present()) {
-        s += csprintf(
-            ",\"serve\":{\"requests\":%llu,\"hits\":%llu,"
-            "\"misses\":%llu,\"evictions\":%llu,\"entries\":%llu,"
-            "\"bytes\":%llu,\"qps\":%s",
-            static_cast<unsigned long long>(serve.requests),
-            static_cast<unsigned long long>(serve.hits),
-            static_cast<unsigned long long>(serve.misses),
-            static_cast<unsigned long long>(serve.evictions),
-            static_cast<unsigned long long>(serve.entries),
-            static_cast<unsigned long long>(serve.bytes),
-            fmtDouble(serve.qps).c_str());
-        s += csprintf(
-            ",\"shed_connections\":%llu,\"shed_requests\":%llu,"
-            "\"deadline_cancels\":%llu,\"compactions\":%llu",
-            static_cast<unsigned long long>(serve.shedConnections),
-            static_cast<unsigned long long>(serve.shedRequests),
-            static_cast<unsigned long long>(serve.deadlineCancels),
-            static_cast<unsigned long long>(serve.compactions));
-        s += quantilesJson("request_latency_ms",
-                           serve.requestLatencyMs);
-        s += "}";
-    }
+    if (serve.present())
+        s += ",\"serve\":{" + serve.toJson() + "}";
 
     s += "}";
     return s;
@@ -216,7 +267,10 @@ StatusSnapshot::fromJson(const std::string &text, StatusSnapshot &out)
     out = StatusSnapshot();
     out.role = doc.getString("role");
     out.label = doc.getString("label");
-    out.pid = static_cast<int>(doc.getDouble("pid"));
+    // Only a pid an int can hold; anything else (negative, huge,
+    // NaN) reads as unknown rather than as an overflowed cast.
+    const double pid = doc.getDouble("pid");
+    out.pid = pid >= 0 && pid <= INT_MAX ? static_cast<int>(pid) : 0;
     out.updateSeq = doc.getUint64("update_seq");
     out.uptimeSeconds = doc.getDouble("uptime_seconds");
     out.jobsTotal = doc.getUint64("jobs_total");
@@ -282,19 +336,15 @@ StatusSnapshot::fromJson(const std::string &text, StatusSnapshot &out)
 
     if (const json::Value *sv = doc.find("serve");
         sv && sv->isObject()) {
-        out.serve.requests = sv->getUint64("requests");
-        out.serve.hits = sv->getUint64("hits");
-        out.serve.misses = sv->getUint64("misses");
-        out.serve.evictions = sv->getUint64("evictions");
-        out.serve.entries = sv->getUint64("entries");
-        out.serve.bytes = sv->getUint64("bytes");
-        out.serve.qps = sv->getDouble("qps");
-        out.serve.shedConnections = sv->getUint64("shed_connections");
-        out.serve.shedRequests = sv->getUint64("shed_requests");
-        out.serve.deadlineCancels = sv->getUint64("deadline_cancels");
-        out.serve.compactions = sv->getUint64("compactions");
-        parseQuantiles(*sv, "request_latency_ms",
-                       out.serve.requestLatencyMs);
+        for (unsigned i = 0; i < ServeMetric::Count; ++i) {
+            const ServeMetricDef &row = kServeMetrics[i];
+            if (row.kind == Counter)
+                out.serve.counters[i] = sv->getUint64(row.key);
+            else if (row.kind == Gauge)
+                out.serve.gauges[i] = sv->getDouble(row.key);
+            else
+                parseQuantiles(*sv, row.key, out.serve.histograms[i]);
+        }
     }
     return true;
 }
@@ -438,42 +488,14 @@ renderStatusTable(const std::vector<StatusEntry> &entries)
             s.finished ? "finished" : "running");
         if (s.jobLatencyMs.samples > 0) {
             out += csprintf(
-                "%-14s   job latency ms p50=%.3f p90=%.3f p99=%.3f "
-                "(%llu samples)\n",
-                "", s.jobLatencyMs.p50, s.jobLatencyMs.p90,
-                s.jobLatencyMs.p99,
+                "%-14s   job latency ms %s (%llu samples)\n", "",
+                s.jobLatencyMs.toString().c_str(),
                 static_cast<unsigned long long>(
                     s.jobLatencyMs.samples));
         }
         if (s.serve.present()) {
-            out += csprintf(
-                "%-14s   serve: %llu req (%llu hit / %llu miss), "
-                "%llu evict, %llu keys, %.1f KiB, qps %.1f, "
-                "lat ms %s\n",
-                "",
-                static_cast<unsigned long long>(s.serve.requests),
-                static_cast<unsigned long long>(s.serve.hits),
-                static_cast<unsigned long long>(s.serve.misses),
-                static_cast<unsigned long long>(s.serve.evictions),
-                static_cast<unsigned long long>(s.serve.entries),
-                static_cast<double>(s.serve.bytes) / 1024.0,
-                s.serve.qps,
-                quantilesCell(s.serve.requestLatencyMs).c_str());
-            if (s.serve.shedConnections || s.serve.shedRequests ||
-                s.serve.deadlineCancels || s.serve.compactions) {
-                out += csprintf(
-                    "%-14s   hardening: %llu conn + %llu req shed, "
-                    "%llu deadline-cancelled, %llu compactions\n",
-                    "",
-                    static_cast<unsigned long long>(
-                        s.serve.shedConnections),
-                    static_cast<unsigned long long>(
-                        s.serve.shedRequests),
-                    static_cast<unsigned long long>(
-                        s.serve.deadlineCancels),
-                    static_cast<unsigned long long>(
-                        s.serve.compactions));
-            }
+            out += csprintf("%-14s   serve: %s\n", "",
+                            s.serve.summary().c_str());
         }
         for (const ShardStatus &sh : s.shards) {
             out += csprintf(
@@ -604,44 +626,21 @@ renderStatusPrometheus(const std::vector<StatusEntry> &entries)
                 "Estimated seconds to completion (-1 = unknown)",
                 labels, s.etaSeconds);
         if (s.serve.present()) {
-            w.gauge("powerchop_serve_requests",
-                    "Requests handled by powerchopd", labels,
-                    static_cast<double>(s.serve.requests));
-            w.gauge("powerchop_serve_hits",
-                    "Result-cache key hits", labels,
-                    static_cast<double>(s.serve.hits));
-            w.gauge("powerchop_serve_misses",
-                    "Result-cache key misses (simulated fresh)",
-                    labels, static_cast<double>(s.serve.misses));
-            w.gauge("powerchop_serve_evictions",
-                    "LRU entries evicted for space", labels,
-                    static_cast<double>(s.serve.evictions));
-            w.gauge("powerchop_serve_entries",
-                    "Cache keys resident", labels,
-                    static_cast<double>(s.serve.entries));
-            w.gauge("powerchop_serve_bytes",
-                    "Cache payload bytes resident", labels,
-                    static_cast<double>(s.serve.bytes));
-            w.gauge("powerchop_serve_qps",
-                    "Requests per second since daemon start", labels,
-                    s.serve.qps);
-            w.gauge("powerchop_serve_shed_connections",
-                    "Connections shed BUSY at the accept gate",
-                    labels,
-                    static_cast<double>(s.serve.shedConnections));
-            w.gauge("powerchop_serve_shed_requests",
-                    "SIM requests shed BUSY at admission", labels,
-                    static_cast<double>(s.serve.shedRequests));
-            w.gauge("powerchop_serve_deadline_cancels",
-                    "Requests cancelled by the wall deadline",
-                    labels,
-                    static_cast<double>(s.serve.deadlineCancels));
-            w.gauge("powerchop_serve_compactions",
-                    "Cache journal compactions", labels,
-                    static_cast<double>(s.serve.compactions));
-            promQuantiles(w, "powerchop_serve_request_latency_ms",
-                          "Request wall latency quantiles (ms)",
-                          labels, s.serve.requestLatencyMs);
+            for (unsigned i = 0; i < ServeMetric::Count; ++i) {
+                const ServeMetricDef &row = kServeMetrics[i];
+                const std::string metric =
+                    std::string("powerchop_serve_") + row.key;
+                if (row.kind == Histogram) {
+                    promQuantiles(w, metric, row.help, labels,
+                                  s.serve.histograms[i]);
+                } else {
+                    w.gauge(metric, row.help, labels,
+                            row.kind == Gauge
+                                ? s.serve.gauges[i]
+                                : static_cast<double>(
+                                      s.serve.counters[i]));
+                }
+            }
         }
         promQuantiles(w, "powerchop_job_latency_ms",
                       "Per-job wall latency quantiles (ms)", labels,

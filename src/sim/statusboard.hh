@@ -27,6 +27,7 @@
 #ifndef POWERCHOP_SIM_STATUSBOARD_HH
 #define POWERCHOP_SIM_STATUSBOARD_HH
 
+#include <array>
 #include <cstdint>
 #include <mutex>
 #include <string>
@@ -54,28 +55,78 @@ struct ShardStatus
     bool failed = false;       ///< Restart budget exhausted.
 };
 
-/** Live serving-plane counters (powerchopd "server" snapshots only).
- *  All counters are cumulative since daemon start. */
+/**
+ * The serve table: every powerchopd metric, declared once.
+ *
+ * STATS, the "server" snapshot's serve block (toJson and fromJson),
+ * `status --prom` (as powerchop_serve_<key>), the status table and
+ * the daemon's exit summary all loop over kServeMetrics, so a wire
+ * key is spelled only there. ServeMetric names the rows, in STATS
+ * order; its enumerators convert to the row index.
+ */
+struct ServeMetric
+{
+    enum Row : unsigned
+    {
+        Requests, Gets, Sims, Errors, SimulatedJobs,
+        Hits, Misses, HitRate, Insertions, Evictions, Entries, Bytes,
+        WarmStarted, Qps,
+        ShedConnections, ShedRequests, DeadlineCancels, IdleReaped,
+        ReadTimeouts, AcceptRetries, DroppedInFlight,
+        Compactions, JournalRecords, JournalDeadRecords,
+        RequestLatencyMs,
+        Count
+    };
+};
+
+/** How a row is stored and rendered. */
+enum class ServeMetricKind
+{
+    Counter,   ///< Cumulative uint64, a JSON integer.
+    Gauge,     ///< Derived double (six decimals in JSON).
+    Histogram, ///< Nanosecond Log2Histogram, rendered as ms Quantiles.
+};
+
+/** One row of the serve table. */
+struct ServeMetricDef
+{
+    const char *key;  ///< Wire key (JSON); --prom adds the prefix.
+    const char *help; ///< --prom HELP text.
+    ServeMetricKind kind;
+};
+
+/** The rows, indexed by ServeMetric. */
+extern const std::array<ServeMetricDef, ServeMetric::Count> kServeMetrics;
+
+/**
+ * Plain values of every serve table row: what SimServer::run()
+ * returns, what STATS renders and a "server" snapshot carries.
+ * Counter rows are cumulative since daemon start.
+ */
 struct ServeStats
 {
-    std::uint64_t requests = 0;   ///< Requests handled (all verbs).
-    std::uint64_t hits = 0;       ///< Result-cache key hits.
-    std::uint64_t misses = 0;     ///< Key misses (simulated fresh).
-    std::uint64_t evictions = 0;  ///< LRU entries evicted for space.
-    std::uint64_t entries = 0;    ///< Keys resident right now.
-    std::uint64_t bytes = 0;      ///< Payload bytes resident.
-    double qps = 0;               ///< Requests / uptime.
-    std::uint64_t shedConnections = 0; ///< BUSY at the accept gate.
-    std::uint64_t shedRequests = 0;    ///< BUSY at SIM admission.
-    std::uint64_t deadlineCancels = 0; ///< Wall-deadline cancels.
-    std::uint64_t compactions = 0;     ///< Cache journal rewrites.
+    /** Row values by kind, indexed by ServeMetric; a row's slots in
+     *  the other kinds' arrays stay zero. Histograms are in ms. @{ */
+    std::array<std::uint64_t, ServeMetric::Count> counters{};
+    std::array<double, ServeMetric::Count> gauges{};
+    std::array<stats::Quantiles, ServeMetric::Count> histograms{};
+    /** @} */
 
-    /** Request wall latency; rendered as `—` when samples == 0. */
-    stats::Quantiles requestLatencyMs;
+    /** Daemon uptime when sampled; STATS renders it as
+     *  uptime_seconds. Not a row: snapshots carry their own. */
+    double uptimeSeconds = 0;
 
     /** True when any request has been counted (gates the JSON block
      *  so non-server snapshots stay byte-identical). */
-    bool present() const { return requests > 0; }
+    bool present() const { return counters[ServeMetric::Requests] > 0; }
+
+    /** Every row as "key":value, comma-separated, without braces;
+     *  a histogram row with no samples is left out. */
+    std::string toJson() const;
+
+    /** One line: "N req (H hit / M miss)", then every other row as
+     *  value and key in words ("0 dropped in flight"). */
+    std::string summary() const;
 };
 
 /** One process's published status. */
@@ -137,8 +188,8 @@ struct StatusSnapshot
     /** Per-shard health (supervisor snapshots only). */
     std::vector<ShardStatus> shards;
 
-    /** Serving-plane counters (powerchopd snapshots only; emitted in
-     *  the JSON only when serve.present()). */
+    /** The serve table (powerchopd snapshots only; emitted in the
+     *  JSON only when serve.present()). */
     ServeStats serve;
 
     /** Render as a single-line JSON object. */

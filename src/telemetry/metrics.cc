@@ -32,18 +32,6 @@ MetricsRegistry::addProbe(const std::string &name, Probe fn)
 }
 
 void
-MetricsRegistry::addGroup(const stats::Group &g)
-{
-    for (const auto &[name, s] : g.scalars()) {
-        addProbe(g.name() + "." + name, [s] {
-            return static_cast<double>(s->value());
-        });
-    }
-    for (const auto &[name, a] : g.averages())
-        addProbe(g.name() + "." + name, [a] { return a->mean(); });
-}
-
-void
 MetricsRegistry::snapshot(std::uint64_t window, InsnCount instructions,
                           Cycles cycles)
 {

@@ -2,14 +2,12 @@
  * @file
  * Metrics registry: per-window time series for one simulation run.
  *
- * Layered on the stats package: columns are named probes (callbacks
- * returning the current value of some counter or derived metric), and
- * a whole stats::Group can be registered as one probe per stat. At
- * every execution-window edge the owner calls snapshot(), which
- * evaluates all probes into one row stamped with the window index,
- * cumulative instruction count and cycle time. Rows serialize to CSV
- * (one header + one line per window) or JSONL (one object per
- * window).
+ * Columns are named probes (callbacks returning the current value of
+ * some counter or derived metric). At every execution-window edge the
+ * owner calls snapshot(), which evaluates all probes into one row
+ * stamped with the window index, cumulative instruction count and
+ * cycle time. Rows serialize to CSV (one header + one line per
+ * window) or JSONL (one object per window).
  *
  * Like the trace recorder, a registry is a per-run, single-threaded
  * object: parallel batches give each job its own registry and merge
@@ -30,7 +28,6 @@
 #include <string>
 #include <vector>
 
-#include "common/stats.hh"
 #include "common/types.hh"
 
 namespace powerchop
@@ -70,10 +67,6 @@ class MetricsRegistry
      * @param fn   Evaluated at every snapshot.
      */
     void addProbe(const std::string &name, Probe fn);
-
-    /** Register every stat of a group as a probe, named
-     *  "<group>.<stat>". The group must outlive the probes. */
-    void addGroup(const stats::Group &g);
 
     /** Evaluate all probes into one row. */
     void snapshot(std::uint64_t window, InsnCount instructions,

@@ -1,5 +1,7 @@
 #include "telemetry/profiler.hh"
 
+#include <algorithm>
+
 #include "common/env.hh"
 
 namespace powerchop
@@ -7,35 +9,46 @@ namespace powerchop
 namespace telemetry
 {
 
+namespace
+{
+
+/** Each Stage's name in reports and snapshots. */
+constexpr const char *kStageNames[kStageCount] = {
+    "decode", "retry", "simulate", "translate"};
+
+} // namespace
+
 void
-StageProfiler::record(const std::string &stage, double seconds)
+StageProfiler::record(Stage stage, double seconds)
 {
     if (!enabled())
         return;
-    std::lock_guard<std::mutex> lock(mutex_);
-    StageTime &st = stages_[stage];
-    if (st.name.empty())
-        st.name = stage;
-    st.seconds += seconds;
-    ++st.count;
+    // Negative and NaN durations count as zero; the clamp keeps the
+    // conversion inside uint64's range.
+    const double ns = std::min(seconds * 1e9, 1.8e19);
+    ns_[static_cast<unsigned>(stage)].sample(
+        ns > 0 ? static_cast<std::uint64_t>(ns) : 0);
 }
 
 std::vector<StageTime>
 StageProfiler::snapshot() const
 {
-    std::lock_guard<std::mutex> lock(mutex_);
     std::vector<StageTime> out;
-    out.reserve(stages_.size());
-    for (const auto &[name, st] : stages_)
-        out.push_back(st);
+    for (unsigned i = 0; i < kStageCount; ++i) {
+        const std::uint64_t count = ns_[i].samples();
+        if (count == 0)
+            continue;
+        out.push_back({kStageNames[i],
+                       static_cast<double>(ns_[i].sum()) / 1e9, count});
+    }
     return out;
 }
 
 void
 StageProfiler::reset()
 {
-    std::lock_guard<std::mutex> lock(mutex_);
-    stages_.clear();
+    for (stats::Log2Histogram &h : ns_)
+        h.reset();
 }
 
 bool

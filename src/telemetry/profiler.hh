@@ -2,34 +2,48 @@
  * @file
  * Wall-clock stage profiling for the simulation job runner.
  *
- * A StageProfiler accumulates wall-clock seconds per named stage
- * ("translate", "simulate", "retry") so the runner report can break
- * total busy time down by where it went. Unlike the trace recorder
- * and metrics registry — whose contents are deterministic simulation
- * state — stage times are host measurements: they never appear in
- * simulation results or traces, only in the (already wall-clock-
- * bearing) runner report, so determinism guarantees are unaffected.
+ * A StageProfiler keeps one nanosecond Log2Histogram per Stage, so
+ * the runner report can break total busy time down by where it went.
+ * Unlike the trace recorder and metrics registry — whose contents are
+ * deterministic simulation state — stage times are host measurements:
+ * they never appear in simulation results or traces, only in the
+ * (already wall-clock-bearing) runner report, so determinism
+ * guarantees are unaffected.
  *
- * The profiler is shared by all worker threads of one runner and is
- * therefore internally locked; a disabled profiler (the default, see
- * POWERCHOP_PROFILE) costs one branch per scope.
+ * Recording is one relaxed fetch_add per histogram tally, so the
+ * worker threads of one runner share a profiler without a lock; a
+ * disabled profiler (the default, see POWERCHOP_PROFILE) costs one
+ * branch per scope.
  */
 
 #ifndef POWERCHOP_TELEMETRY_PROFILER_HH
 #define POWERCHOP_TELEMETRY_PROFILER_HH
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <map>
-#include <mutex>
 #include <string>
 #include <vector>
+
+#include "common/stats.hh"
 
 namespace powerchop
 {
 namespace telemetry
 {
+
+/** The timed stages, declared in name order (snapshot() order). */
+enum class Stage : unsigned
+{
+    Decode,    ///< Pre-decoding blocks into slot streams.
+    Retry,     ///< Re-attempts of transient runner jobs.
+    Simulate,  ///< simulate()'s execution loop.
+    Translate, ///< simulate()'s machine construction.
+};
+
+constexpr unsigned kStageCount =
+    static_cast<unsigned>(Stage::Translate) + 1;
 
 /** Accumulated wall-clock time of one named stage. */
 struct StageTime
@@ -65,10 +79,12 @@ class StageProfiler
         enabled_.store(enabled, std::memory_order_relaxed);
     }
 
-    /** Add one timed scope to a stage. No-op when disabled. */
-    void record(const std::string &stage, double seconds);
+    /** Add one timed scope to a stage, in whole nanoseconds. No-op
+     *  when disabled. */
+    void record(Stage stage, double seconds);
 
-    /** All stages with recorded time, sorted by name. */
+    /** All stages with recorded scopes, sorted by name: empty until
+     *  the profiler has been enabled. */
     std::vector<StageTime> snapshot() const;
 
     /** Drop all recorded stages. */
@@ -80,33 +96,35 @@ class StageProfiler
 
     /**
      * The process-wide profiler, enabled by POWERCHOP_PROFILE at
-     * first use. simulate() records into it when no per-run profiler
-     * is attached, and the job runner snapshots it into the runner
-     * report — so stage times cover every simulation of the process,
-     * including ones driven through generic runTasks() closures that
-     * build their own SimOptions.
+     * first use. simulate() and the job runner record into it, and
+     * the runner snapshots it into the runner report — so stage
+     * times cover every simulation of the process, including ones
+     * driven through generic runTasks() closures that build their
+     * own SimOptions.
      */
     static StageProfiler &global();
 
   private:
     std::atomic<bool> enabled_;
-    mutable std::mutex mutex_;
-    std::map<std::string, StageTime> stages_;
+    std::array<stats::Log2Histogram, kStageCount> ns_;
 };
 
 /**
  * RAII timer recording one scope into a profiler stage.
  *
- * The profiler pointer may be null (records nothing), so call sites
- * need no conditional scoping.
+ * The profiler pointer may be null or disabled (records nothing, and
+ * reads no clock), so call sites need no conditional scoping.
  */
 class ScopedStageTimer
 {
   public:
-    ScopedStageTimer(StageProfiler *profiler, std::string stage)
-        : profiler_(profiler), stage_(std::move(stage)),
-          start_(std::chrono::steady_clock::now())
+    ScopedStageTimer(StageProfiler *profiler, Stage stage)
+        : profiler_(profiler && profiler->enabled() ? profiler
+                                                    : nullptr),
+          stage_(stage)
     {
+        if (profiler_)
+            start_ = std::chrono::steady_clock::now();
     }
 
     ScopedStageTimer(const ScopedStageTimer &) = delete;
@@ -129,7 +147,7 @@ class ScopedStageTimer
 
   private:
     StageProfiler *profiler_;
-    std::string stage_;
+    Stage stage_;
     std::chrono::steady_clock::time_point start_;
 };
 

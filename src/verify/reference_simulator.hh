@@ -28,10 +28,10 @@
  * loops apply the same arithmetic in the same order. Any divergence,
  * however small, is a bug in one of the two loops.
  *
- * Unsupported instrumentation: opts.profiler is ignored and so is
- * opts.audit (the oracle is the thing audits are checked against).
- * Traces, metrics, window observers, samplers and cancellation behave
- * as in simulate().
+ * Unsupported instrumentation: the reference records no stage times
+ * into StageProfiler::global() and ignores opts.audit (the oracle is
+ * the thing audits are checked against). Traces, metrics, window
+ * observers, samplers and cancellation behave as in simulate().
  */
 
 #ifndef POWERCHOP_VERIFY_REFERENCE_SIMULATOR_HH

@@ -15,7 +15,6 @@
 #include "common/logging.hh"
 #include "common/random.hh"
 #include "common/sat_counter.hh"
-#include "common/stats.hh"
 #include "common/stop_latch.hh"
 
 using namespace powerchop;
@@ -267,152 +266,6 @@ TEST(SatCounter, RejectsBadWidth)
 {
     EXPECT_THROW(SatCounter(0), PanicError);
     EXPECT_THROW(SatCounter(9), PanicError);
-}
-
-// --- stats -------------------------------------------------------------------
-
-TEST(Stats, ScalarAccumulates)
-{
-    stats::Scalar s;
-    ++s;
-    s += 4;
-    EXPECT_EQ(s.value(), 5u);
-    s.reset();
-    EXPECT_EQ(s.value(), 0u);
-}
-
-TEST(Stats, AverageMean)
-{
-    stats::Average a;
-    EXPECT_EQ(a.mean(), 0.0);
-    a.sample(2);
-    a.sample(4);
-    EXPECT_DOUBLE_EQ(a.mean(), 3.0);
-    EXPECT_EQ(a.count(), 2u);
-    a.reset();
-    EXPECT_EQ(a.count(), 0u);
-}
-
-TEST(Stats, DistributionBuckets)
-{
-    stats::Distribution d(0, 10, 10);
-    d.sample(0.5);
-    d.sample(5.5);
-    d.sample(9.9);
-    EXPECT_EQ(d.bucketCount(0), 1u);
-    EXPECT_EQ(d.bucketCount(5), 1u);
-    EXPECT_EQ(d.bucketCount(9), 1u);
-    EXPECT_EQ(d.totalSamples(), 3u);
-    EXPECT_NEAR(d.mean(), (0.5 + 5.5 + 9.9) / 3, 1e-9);
-}
-
-TEST(Stats, DistributionEdges)
-{
-    stats::Distribution d(0, 10, 5);
-    d.sample(-1);
-    d.sample(100);
-    EXPECT_EQ(d.underflows(), 1u);
-    EXPECT_EQ(d.overflows(), 1u);
-    EXPECT_EQ(d.bucketCount(0), 1u);
-    EXPECT_EQ(d.bucketCount(4), 1u);
-    EXPECT_THROW(d.bucketCount(5), PanicError);
-}
-
-TEST(Stats, DistributionValidation)
-{
-    EXPECT_THROW(stats::Distribution(0, 10, 0), PanicError);
-    EXPECT_THROW(stats::Distribution(5, 5, 2), PanicError);
-}
-
-TEST(Stats, GroupDump)
-{
-    stats::Scalar s;
-    s += 3;
-    stats::Average a;
-    a.sample(1.5);
-    stats::Group g("core0");
-    g.addScalar("insts", &s);
-    g.addAverage("ipc", &a);
-    std::string dump = g.dump();
-    EXPECT_NE(dump.find("core0.insts 3"), std::string::npos);
-    EXPECT_NE(dump.find("core0.ipc 1.5"), std::string::npos);
-}
-
-TEST(Stats, DistributionPercentile)
-{
-    stats::Distribution d(0, 10, 10);
-    for (int i = 0; i < 10; ++i)
-        d.sample(i + 0.5); // One sample per bucket.
-
-    // p of the mass is reached in bucket ceil(10p)-1, whose upper
-    // edge is ceil(10p).
-    EXPECT_DOUBLE_EQ(d.percentile(0.1), 1.0);
-    EXPECT_DOUBLE_EQ(d.percentile(0.5), 5.0);
-    EXPECT_DOUBLE_EQ(d.percentile(0.95), 10.0);
-    EXPECT_DOUBLE_EQ(d.percentile(1.0), 10.0);
-    // p = 0 answers with the first bucket's upper edge.
-    EXPECT_DOUBLE_EQ(d.percentile(0.0), 1.0);
-}
-
-TEST(Stats, DistributionPercentileSkewed)
-{
-    stats::Distribution d(0, 100, 100);
-    for (int i = 0; i < 99; ++i)
-        d.sample(0.5);
-    d.sample(99.5);
-    EXPECT_DOUBLE_EQ(d.percentile(0.5), 1.0);
-    EXPECT_DOUBLE_EQ(d.percentile(0.99), 1.0);
-    EXPECT_DOUBLE_EQ(d.percentile(0.999), 100.0);
-}
-
-TEST(Stats, DistributionPercentileClampsOutOfRange)
-{
-    stats::Distribution d(0, 10, 5);
-    d.sample(-50);
-    d.sample(500);
-    // Out-of-range samples live in the edge buckets, so percentiles
-    // stay within [min, max].
-    EXPECT_DOUBLE_EQ(d.percentile(0.25), 2.0);
-    EXPECT_DOUBLE_EQ(d.percentile(1.0), 10.0);
-}
-
-TEST(Stats, DistributionPercentileValidation)
-{
-    stats::Distribution d(0, 10, 5);
-    EXPECT_THROW(d.percentile(0.5), PanicError); // Empty.
-    d.sample(1);
-    EXPECT_THROW(d.percentile(-0.1), PanicError);
-    EXPECT_THROW(d.percentile(1.1), PanicError);
-}
-
-TEST(Stats, GroupToJson)
-{
-    stats::Scalar s;
-    s += 42;
-    stats::Average a;
-    a.sample(1.0);
-    a.sample(2.0);
-    stats::Group g("core0");
-    g.addScalar("insts", &s);
-    g.addAverage("ipc", &a);
-    EXPECT_EQ(g.toJson(), "{\"core0.insts\":42,\"core0.ipc\":1.5}");
-}
-
-TEST(Stats, GroupToJsonEmpty)
-{
-    stats::Group g("idle");
-    EXPECT_EQ(g.toJson(), "{}");
-}
-
-TEST(Stats, GroupAccessorsSorted)
-{
-    stats::Scalar s1, s2;
-    stats::Group g("g");
-    g.addScalar("zeta", &s1);
-    g.addScalar("alpha", &s2);
-    ASSERT_EQ(g.scalars().size(), 2u);
-    EXPECT_EQ(g.scalars().begin()->first, "alpha");
-    EXPECT_TRUE(g.averages().empty());
 }
 
 // --- stop latch ------------------------------------------------------------

@@ -348,6 +348,91 @@ TEST(Statusboard, SnapshotJsonRoundTrip)
     EXPECT_NEAR(r.shards[0].heartbeatAgeSeconds, 0.75, 1e-6);
 }
 
+TEST(Statusboard, RenderersKeepTheirBytes)
+{
+    // Literals captured from the renderers before Quantiles got its
+    // own toJson()/toString(): campaign snapshots and BENCH entries
+    // must not change a byte for the same values.
+    const stats::Quantiles q{100, 1.5, 2.5, 9.0};
+    EXPECT_EQ(q.toJson(),
+              "{\"samples\":100,\"p50\":1.500000,\"p90\":2.500000,"
+              "\"p99\":9.000000}");
+    EXPECT_EQ(q.toString(), "p50=1.500 p90=2.500 p99=9.000");
+
+    RunnerReport r;
+    r.jobs = 7;
+    r.threads = 2;
+    r.wallSeconds = 1.25;
+    r.busySeconds = 2.0;
+    r.instructions = 123456789;
+    r.okJobs = 5;
+    r.failedJobs = 1;
+    r.timedOutJobs = 1;
+    r.degradedJobs = 1;
+    r.retries = 2;
+    r.skippedJobs = 1;
+    r.interruptedJobs = 2;
+    r.backoffSeconds = 0.375;
+    r.workerCrashes = 1;
+    r.workerRestarts = 2;
+    r.redispatches = 3;
+    r.translationCacheHits = 11;
+    r.translationCacheMisses = 4;
+    r.stages = {{"simulate", 1.5, 3}, {"translate", 0.25, 3}};
+    for (std::uint64_t ns : {1000000u, 2000000u, 4000000u, 12345678u})
+        r.taskLatencyNs.sample(ns);
+    EXPECT_EQ(
+        r.toJson("probe"),
+        "{\"bench\":\"probe\",\"jobs\":7,\"threads\":2,"
+        "\"wall_seconds\":1.250000,\"busy_seconds\":2.000000,"
+        "\"instructions\":123456789,\"mips\":98.765,"
+        "\"jobs_per_second\":5.600,\"speedup\":1.600,\"ok_jobs\":5,"
+        "\"failed_jobs\":1,\"timed_out_jobs\":1,\"degraded_jobs\":1,"
+        "\"retries\":2,\"skipped_jobs\":1,\"interrupted_jobs\":2,"
+        "\"backoff_seconds\":0.375000,\"worker_crashes\":1,"
+        "\"worker_restarts\":2,\"redispatches\":3,"
+        "\"translation_cache_hits\":11,"
+        "\"translation_cache_misses\":4,\"stages\":{\"simulate\":"
+        "{\"seconds\":1.500000,\"count\":3},\"translate\":"
+        "{\"seconds\":0.250000,\"count\":3}},\"task_latency_ms\":"
+        "{\"samples\":4,\"p50\":2.097152,\"p90\":13.421773,"
+        "\"p99\":16.441672}}");
+    EXPECT_EQ(r.toString(),
+              "7 jobs on 2 threads: 1.25s wall (2.00s busy), 98.8 MIPS, "
+              "5.60 jobs/s, 1.60x vs 1 thread; robust: 5 ok, 1 failed, "
+              "1 timed out, 1 degraded, 2 retries, 1 skipped, 2 "
+              "interrupted, 0.375s backoff; supervisor: 1 worker "
+              "crashes, 2 restarts, 3 re-dispatches; trans-meta cache: "
+              "11 hits, 4 misses; stages: simulate=1.50s/3 "
+              "translate=0.25s/3; task latency ms: p50=2.097 "
+              "p90=13.422 p99=16.442");
+
+    StatusSnapshot s = fullSnapshot();
+    s.role = "campaign";
+    s.pid = 4242;
+    s.updateSeq = 9;
+    s.uptimeSeconds = 3.5;
+    EXPECT_EQ(
+        s.toJson(),
+        "{\"schema\":\"powerchop-status-v1\",\"role\":\"campaign\","
+        "\"label\":\"campaign\",\"pid\":4242,\"update_seq\":9,"
+        "\"uptime_seconds\":3.500000,\"jobs_total\":40,"
+        "\"jobs_done\":25,\"jobs_ok\":23,\"jobs_failed\":2,"
+        "\"jobs_retried\":5,\"in_flight\":[\"deadbeefcafef00d\","
+        "\"0000000000000001\"],\"mips\":12.500000,\"restarts\":3,"
+        "\"eta_seconds\":42.250000,\"finished\":false,"
+        "\"job_latency_ms\":{\"samples\":100,\"p50\":1.500000,"
+        "\"p90\":2.500000,\"p99\":9.000000},\"fsync_latency_ms\":"
+        "{\"samples\":100,\"p50\":0.100000,\"p90\":0.200000,"
+        "\"p99\":0.400000},\"restart_backoff_ms\":{\"samples\":3,"
+        "\"p50\":100.000000,\"p90\":200.000000,\"p99\":400.000000},"
+        "\"stages\":[{\"name\":\"simulate\",\"seconds\":1.250000,"
+        "\"count\":10},{\"name\":\"translate\",\"seconds\":0.500000,"
+        "\"count\":10}],\"shards\":[{\"shard\":1,\"total\":20,"
+        "\"done\":12,\"restarts\":2,\"helpers\":1,\"active\":true,"
+        "\"heartbeat_age_seconds\":0.750000,\"failed\":false}]}");
+}
+
 TEST(Statusboard, FromJsonRejectsForeignDocuments)
 {
     StatusSnapshot s;
@@ -359,6 +444,19 @@ TEST(Statusboard, FromJsonRejectsForeignDocuments)
     EXPECT_TRUE(StatusSnapshot::fromJson(
         "{\"schema\":\"powerchop-status-v1\"}", s))
         << "all data fields are optional";
+
+    // A pid no int can hold reads as unknown (0) instead of going
+    // through an out-of-range float-to-int conversion.
+    for (const char *pid : {"1e300", "-1e300", "-5", "2147483648"}) {
+        ASSERT_TRUE(StatusSnapshot::fromJson(
+            std::string("{\"schema\":\"powerchop-status-v1\",\"pid\":") +
+                pid + "}",
+            s));
+        EXPECT_EQ(s.pid, 0) << pid;
+    }
+    ASSERT_TRUE(StatusSnapshot::fromJson(
+        "{\"schema\":\"powerchop-status-v1\",\"pid\":2147483647}", s));
+    EXPECT_EQ(s.pid, 2147483647);
 }
 
 TEST(Statusboard, PublisherGatesOnCadenceUnlessForced)
@@ -563,26 +661,26 @@ TEST(Statusboard, ServeStatsRoundTripAndRendering)
     StatusSnapshot s;
     s.role = "server";
     s.label = "powerchopd";
-    s.serve.requests = 10;
-    s.serve.hits = 7;
-    s.serve.misses = 3;
-    s.serve.evictions = 1;
-    s.serve.entries = 4;
-    s.serve.bytes = 2048;
-    s.serve.qps = 123.5;
+    s.serve.counters[ServeMetric::Requests] = 10;
+    s.serve.counters[ServeMetric::Hits] = 7;
+    s.serve.counters[ServeMetric::Misses] = 3;
+    s.serve.counters[ServeMetric::Evictions] = 1;
+    s.serve.counters[ServeMetric::Entries] = 4;
+    s.serve.counters[ServeMetric::Bytes] = 2048;
+    s.serve.gauges[ServeMetric::Qps] = 123.5;
     // No latency samples yet: the table cell must render the em
     // dash, not garbage quantiles of an empty histogram.
-    s.serve.requestLatencyMs = {};
+    s.serve.histograms[ServeMetric::RequestLatencyMs] = {};
 
     StatusSnapshot r;
     ASSERT_TRUE(StatusSnapshot::fromJson(s.toJson(), r));
-    EXPECT_EQ(r.serve.requests, 10u);
-    EXPECT_EQ(r.serve.hits, 7u);
-    EXPECT_EQ(r.serve.misses, 3u);
-    EXPECT_EQ(r.serve.evictions, 1u);
-    EXPECT_EQ(r.serve.entries, 4u);
-    EXPECT_EQ(r.serve.bytes, 2048u);
-    EXPECT_NEAR(r.serve.qps, 123.5, 1e-6);
+    EXPECT_EQ(r.serve.counters[ServeMetric::Requests], 10u);
+    EXPECT_EQ(r.serve.counters[ServeMetric::Hits], 7u);
+    EXPECT_EQ(r.serve.counters[ServeMetric::Misses], 3u);
+    EXPECT_EQ(r.serve.counters[ServeMetric::Evictions], 1u);
+    EXPECT_EQ(r.serve.counters[ServeMetric::Entries], 4u);
+    EXPECT_EQ(r.serve.counters[ServeMetric::Bytes], 2048u);
+    EXPECT_NEAR(r.serve.gauges[ServeMetric::Qps], 123.5, 1e-6);
 
     StatusEntry e;
     e.file = "server.json";
@@ -596,7 +694,8 @@ TEST(Statusboard, ServeStatsRoundTripAndRendering)
         << "empty latency histogram must render as an em dash: "
         << table;
 
-    e.snap.serve.requestLatencyMs = {10, 0.5, 1.5, 4.0};
+    e.snap.serve.histograms[ServeMetric::RequestLatencyMs] = {10, 0.5,
+                                                              1.5, 4.0};
     table = renderStatusTable({e});
     EXPECT_NE(table.find("p50=0.500"), std::string::npos) << table;
 

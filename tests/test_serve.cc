@@ -33,6 +33,7 @@
 #include "sim/campaign.hh"
 #include "sim/machine_config.hh"
 #include "sim/sim_runner.hh"
+#include "sim/statusboard.hh"
 #include "workload/suites.hh"
 #include "timing.hh"
 
@@ -302,7 +303,7 @@ class ServerFixture
 
     ~ServerFixture() { stopAndJoin(); }
 
-    const ServeReport &
+    const ServeStats &
     stopAndJoin()
     {
         if (thread_.joinable()) {
@@ -329,7 +330,7 @@ class ServerFixture
     std::atomic<bool> stop_{false};
     std::unique_ptr<SimServer> server_;
     std::thread thread_;
-    ServeReport report_;
+    ServeStats report_;
 };
 
 ServeOptions
@@ -394,11 +395,12 @@ TEST(SimServer, SimMissThenHitServesIdenticalBytes)
     EXPECT_EQ(warmReply.payload, cold.payload)
         << "hits must serve byte-identical reports";
 
-    const ServeReport &rep = server.stopAndJoin();
-    EXPECT_EQ(rep.sims, 2u);
-    EXPECT_EQ(rep.simulatedJobs, 2u) << "second SIM was all hits";
-    EXPECT_EQ(rep.cache.hits, 2u);
-    EXPECT_EQ(rep.cache.misses, 2u);
+    const ServeStats &rep = server.stopAndJoin();
+    EXPECT_EQ(rep.counters[ServeMetric::Sims], 2u);
+    EXPECT_EQ(rep.counters[ServeMetric::SimulatedJobs], 2u)
+        << "second SIM was all hits";
+    EXPECT_EQ(rep.counters[ServeMetric::Hits], 2u);
+    EXPECT_EQ(rep.counters[ServeMetric::Misses], 2u);
 }
 
 TEST(SimServer, ServedReportIsByteIdenticalToDirectCampaign)
@@ -468,6 +470,109 @@ TEST(SimServer, StatsReportLiveCounters)
               0u);
 }
 
+TEST(ServeVocabulary, StatsSnapshotAndPromCarryEveryRow)
+{
+    // STATS as pcbench, the CI serve smoke and the chaos smoke read
+    // it: these keys, in this order.
+    const std::vector<std::string> statsKeys = {
+        "schema", "uptime_seconds", "requests", "gets", "sims",
+        "errors", "simulated_jobs", "hits", "misses", "hit_rate",
+        "insertions", "evictions", "entries", "bytes", "warm_started",
+        "qps", "shed_connections", "shed_requests", "deadline_cancels",
+        "idle_reaped", "read_timeouts", "accept_retries",
+        "dropped_in_flight", "compactions", "journal_records",
+        "journal_dead_records", "request_latency_ms"};
+
+    std::string payload;
+    {
+        const std::string dir = freshDir("vocab");
+        ServerFixture server(unixOptions(dir));
+        ServeClient c = server.client();
+        ASSERT_TRUE(c.sim(tinySpec()).served());
+        const ServeReply stats = c.stats();
+        ASSERT_EQ(stats.status, ResponseStatus::Ok);
+        payload = stats.payload;
+    }
+    json::Value v;
+    ASSERT_TRUE(json::parse(payload, v)) << payload;
+    std::vector<std::string> keys;
+    for (const auto &member : v.members())
+        keys.push_back(member.first);
+    EXPECT_EQ(keys, statsKeys) << payload;
+
+    // The table is exactly the serve keys of STATS, and each row
+    // keeps its JSON type and format: integers for counters, six
+    // decimals for gauges, an object for the histogram.
+    ASSERT_EQ(kServeMetrics.size() + 2, statsKeys.size());
+    for (unsigned i = 0; i < ServeMetric::Count; ++i) {
+        const ServeMetricDef &row = kServeMetrics[i];
+        EXPECT_EQ(row.key, statsKeys[i + 2]);
+        const std::string head = std::string("\"") + row.key + "\":";
+        const std::size_t at = payload.find(head);
+        ASSERT_NE(at, std::string::npos) << row.key;
+        const std::string value = payload.substr(
+            at + head.size(),
+            payload.find_first_of(",}", at + head.size()) - at -
+                head.size());
+        if (row.kind == ServeMetricKind::Counter) {
+            EXPECT_EQ(value.find_first_not_of("0123456789"),
+                      std::string::npos)
+                << row.key << "=" << value;
+        } else if (row.kind == ServeMetricKind::Gauge) {
+            ASSERT_NE(value.find('.'), std::string::npos) << row.key;
+            EXPECT_EQ(value.size() - value.find('.'), 7u)
+                << row.key << "=" << value;
+        } else {
+            EXPECT_EQ(value.rfind("{\"samples\":", 0), 0u)
+                << row.key << "=" << value;
+        }
+    }
+
+    // A "server" snapshot's serve block, its parser and --prom carry
+    // every row, with its value.
+    StatusEntry e;
+    e.file = "server.json";
+    e.parsed = true;
+    e.snap.role = "server";
+    for (unsigned i = 0; i < ServeMetric::Count; ++i) {
+        e.snap.serve.counters[i] = 1000 + i;
+        e.snap.serve.gauges[i] = i + 0.25;
+        e.snap.serve.histograms[i] = {i + 1, 0.5, 1.5, 4.0};
+    }
+    const std::string text = e.snap.toJson();
+    json::Value doc;
+    ASSERT_TRUE(json::parse(text, doc)) << text;
+    const json::Value *serve = doc.find("serve");
+    ASSERT_TRUE(serve && serve->isObject()) << text;
+    ASSERT_EQ(serve->members().size(), kServeMetrics.size()) << text;
+
+    StatusSnapshot back;
+    ASSERT_TRUE(StatusSnapshot::fromJson(text, back)) << text;
+    const std::string prom = renderStatusPrometheus({e});
+    for (unsigned i = 0; i < ServeMetric::Count; ++i) {
+        const ServeMetricDef &row = kServeMetrics[i];
+        EXPECT_EQ(serve->members()[i].first, row.key);
+        if (row.kind == ServeMetricKind::Counter) {
+            EXPECT_EQ(back.serve.counters[i], 1000 + i) << row.key;
+        } else if (row.kind == ServeMetricKind::Gauge) {
+            EXPECT_DOUBLE_EQ(back.serve.gauges[i], i + 0.25) << row.key;
+        } else {
+            EXPECT_EQ(back.serve.histograms[i].samples, i + 1)
+                << row.key;
+            EXPECT_DOUBLE_EQ(back.serve.histograms[i].p99, 4.0)
+                << row.key;
+        }
+        const std::string metric =
+            std::string("powerchop_serve_") + row.key;
+        EXPECT_NE(prom.find("# HELP " + metric + " " + row.help + "\n"),
+                  std::string::npos)
+            << metric;
+        EXPECT_NE(prom.find(metric + "{entry=\"server\""),
+                  std::string::npos)
+            << metric;
+    }
+}
+
 TEST(SimServer, BadRequestsAnswerErrAndKeepServing)
 {
     const std::string dir = freshDir("err");
@@ -499,9 +604,9 @@ TEST(SimServer, BadRequestsAnswerErrAndKeepServing)
     EXPECT_NE(r.payload.find("duplicate"), std::string::npos);
 
     EXPECT_TRUE(c.stats().served()) << "connection still alive";
-    const ServeReport &rep = server.stopAndJoin();
-    EXPECT_EQ(rep.errors, 5u);
-    EXPECT_EQ(rep.simulatedJobs, 0u)
+    const ServeStats &rep = server.stopAndJoin();
+    EXPECT_EQ(rep.counters[ServeMetric::Errors], 5u);
+    EXPECT_EQ(rep.counters[ServeMetric::SimulatedJobs], 0u)
         << "no bad request may reach the runner";
 }
 
@@ -528,9 +633,9 @@ TEST(SimServer, WarmRestartServesHitsFromTheJournal)
         ASSERT_FALSE(warm.ioFailed);
         EXPECT_EQ(warm.status, ResponseStatus::Hit);
         EXPECT_EQ(warm.payload, cold);
-        const ServeReport &rep = server.stopAndJoin();
-        EXPECT_EQ(rep.warmStarted, 2u);
-        EXPECT_EQ(rep.simulatedJobs, 0u);
+        const ServeStats &rep = server.stopAndJoin();
+        EXPECT_EQ(rep.counters[ServeMetric::WarmStarted], 2u);
+        EXPECT_EQ(rep.counters[ServeMetric::SimulatedJobs], 0u);
     }
 }
 
@@ -570,8 +675,9 @@ TEST(SimServer, ConcurrentClientsShareTheCache)
         t.join();
     EXPECT_EQ(failures.load(), 0u);
     EXPECT_EQ(mismatches.load(), 0u);
-    const ServeReport &rep = server.stopAndJoin();
-    EXPECT_EQ(rep.simulatedJobs, 2u) << "only the initial misses";
+    const ServeStats &rep = server.stopAndJoin();
+    EXPECT_EQ(rep.counters[ServeMetric::SimulatedJobs], 2u)
+        << "only the initial misses";
 }
 
 // ---------------------------------------------------------------------
@@ -719,9 +825,9 @@ TEST(SimServer, IdleConnectionIsReaped)
         << "idle connections are closed quietly, not answered";
     ::close(fd);
 
-    const ServeReport &rep = server.stopAndJoin();
-    EXPECT_EQ(rep.idleReaped, 1u);
-    EXPECT_EQ(rep.requests, 0u);
+    const ServeStats &rep = server.stopAndJoin();
+    EXPECT_EQ(rep.counters[ServeMetric::IdleReaped], 1u);
+    EXPECT_EQ(rep.counters[ServeMetric::Requests], 0u);
 }
 
 TEST(SimServer, HalfFrameHitsReadDeadlineAndServingContinues)
@@ -752,9 +858,9 @@ TEST(SimServer, HalfFrameHitsReadDeadlineAndServingContinues)
     // The daemon itself is unharmed.
     ServeClient c = server.client();
     EXPECT_TRUE(c.stats().served());
-    const ServeReport &rep = server.stopAndJoin();
-    EXPECT_EQ(rep.readTimeouts, 1u);
-    EXPECT_EQ(rep.idleReaped, 0u);
+    const ServeStats &rep = server.stopAndJoin();
+    EXPECT_EQ(rep.counters[ServeMetric::ReadTimeouts], 1u);
+    EXPECT_EQ(rep.counters[ServeMetric::IdleReaped], 0u);
 }
 
 TEST(SimServer, OverCapConnectionsAreShedWithBusy)
@@ -793,8 +899,8 @@ TEST(SimServer, OverCapConnectionsAreShedWithBusy)
     ASSERT_TRUE(json::parse(stats.payload, v)) << stats.payload;
     EXPECT_EQ(v.getUint64("shed_connections"), 1u);
     EXPECT_TRUE(c2.stats().served());
-    const ServeReport &rep = server.stopAndJoin();
-    EXPECT_EQ(rep.shedConnections, 1u);
+    const ServeStats &rep = server.stopAndJoin();
+    EXPECT_EQ(rep.counters[ServeMetric::ShedConnections], 1u);
 }
 
 TEST(SimServer, SimAdmissionQueueShedsWithBusy)
@@ -835,8 +941,8 @@ TEST(SimServer, SimAdmissionQueueShedsWithBusy)
     EXPECT_EQ(other.load(), 0u);
     EXPECT_GE(ok.load(), 1u);
     EXPECT_GE(busy.load(), 1u);
-    const ServeReport &rep = server.stopAndJoin();
-    EXPECT_EQ(rep.shedRequests, busy.load());
+    const ServeStats &rep = server.stopAndJoin();
+    EXPECT_EQ(rep.counters[ServeMetric::ShedRequests], busy.load());
 }
 
 TEST(SimServer, RequestDeadlineCancelsAnInFlightSim)
@@ -858,8 +964,8 @@ TEST(SimServer, RequestDeadlineCancelsAnInFlightSim)
 
     // The connection survives its cancelled request.
     EXPECT_TRUE(c.stats().served());
-    const ServeReport &rep = server.stopAndJoin();
-    EXPECT_GE(rep.deadlineCancels, 1u);
+    const ServeStats &rep = server.stopAndJoin();
+    EXPECT_GE(rep.counters[ServeMetric::DeadlineCancels], 1u);
 }
 
 TEST(SimServer, IdleMissesDoNotWaitOnBackgroundThreads)
@@ -911,11 +1017,11 @@ TEST(SimServer, GracefulDrainFinishesInFlightRequests)
     ServeReply reply;
     std::thread inflight([&] { reply = c.sim(tinySpec()); });
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    const ServeReport &rep = server.stopAndJoin();
+    const ServeStats &rep = server.stopAndJoin();
     inflight.join();
     ASSERT_FALSE(reply.ioFailed) << reply.error;
     EXPECT_EQ(reply.status, ResponseStatus::Ok) << reply.payload;
-    EXPECT_EQ(rep.droppedInFlight, 0u)
+    EXPECT_EQ(rep.counters[ServeMetric::DroppedInFlight], 0u)
         << "drain must not abandon an in-flight request";
 }
 
@@ -937,10 +1043,10 @@ TEST(SimServer, DrainDeadlineCancelsAnInFlightSim)
     });
     std::this_thread::sleep_for(std::chrono::milliseconds(100));
     const double t0 = monotonicSeconds();
-    const ServeReport &rep = server.stopAndJoin();
+    const ServeStats &rep = server.stopAndJoin();
     inflight.join();
     EXPECT_LT(monotonicSeconds() - t0, 2.0);
-    EXPECT_EQ(rep.droppedInFlight, 1u);
+    EXPECT_EQ(rep.counters[ServeMetric::DroppedInFlight], 1u);
 }
 
 TEST(SimServer, ClientRetriesAcrossAServerRestart)

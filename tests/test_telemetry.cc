@@ -413,24 +413,6 @@ TEST(MetricsRegistry, ColumnIndexPanicsWhenAbsent)
     EXPECT_THROW(reg.columnIndex("nope"), PanicError);
 }
 
-TEST(MetricsRegistry, AddGroupNamesGroupDotStat)
-{
-    stats::Scalar hits;
-    hits += 7;
-    stats::Average lat;
-    lat.sample(2.0);
-    stats::Group g("l2");
-    g.addScalar("hits", &hits);
-    g.addAverage("latency", &lat);
-
-    MetricsRegistry reg;
-    reg.addGroup(g);
-    reg.snapshot(1, 10, 10.0);
-
-    EXPECT_DOUBLE_EQ(reg.value(0, reg.columnIndex("l2.hits")), 7.0);
-    EXPECT_DOUBLE_EQ(reg.value(0, reg.columnIndex("l2.latency")), 2.0);
-}
-
 TEST(MetricsRegistry, CsvAndJsonlRender)
 {
     MetricsRegistry reg;
@@ -495,16 +477,16 @@ TEST(MetricsCollector, SimulationProducesCanonicalSeries)
 TEST(StageProfiler, DisabledRecordsNothing)
 {
     StageProfiler prof(false);
-    prof.record("simulate", 1.0);
+    prof.record(Stage::Simulate, 1.0);
     EXPECT_TRUE(prof.snapshot().empty());
 }
 
 TEST(StageProfiler, AccumulatesPerStageSortedByName)
 {
     StageProfiler prof(true);
-    prof.record("simulate", 1.0);
-    prof.record("simulate", 0.5);
-    prof.record("retry", 0.25);
+    prof.record(Stage::Simulate, 1.0);
+    prof.record(Stage::Simulate, 0.5);
+    prof.record(Stage::Retry, 0.25);
 
     const auto stages = prof.snapshot();
     ASSERT_EQ(stages.size(), 2u);
@@ -520,12 +502,12 @@ TEST(StageProfiler, AccumulatesPerStageSortedByName)
 
 TEST(StageProfiler, ScopedTimerToleratesNullAndStops)
 {
-    ScopedStageTimer null_timer(nullptr, "nothing"); // Must not crash.
+    ScopedStageTimer null_timer(nullptr, Stage::Decode); // Must not crash.
     null_timer.stop();
 
     StageProfiler prof(true);
     {
-        ScopedStageTimer t(&prof, "stage");
+        ScopedStageTimer t(&prof, Stage::Translate);
         t.stop();
         t.stop(); // Idempotent: records once.
     }

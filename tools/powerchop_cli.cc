@@ -89,6 +89,7 @@
 #include <limits>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -287,7 +288,7 @@ struct Args
     std::string socket;       ///< Unix-domain socket path.
     unsigned port = 0;        ///< TCP port on 127.0.0.1; 0 = Unix.
     double cacheMb = 256;     ///< Result-cache budget (MiB).
-    std::string get;          ///< client: GET this hex content key.
+    std::optional<std::uint64_t> getKey; ///< client: GET this key.
     bool statsRequest = false; ///< client: STATS instead of SIM.
     unsigned maxConns = 256;  ///< serve: connection cap (0 = off).
     unsigned simQueue = 16;   ///< serve: SIM admission depth.
@@ -389,8 +390,15 @@ parseOptions(const std::vector<std::string> &rest)
         else if (rest[i] == "--cache-mb")
             a.cacheMb = parseNumber<double>("--cache-mb", need("--cache-mb"),
                                             1e-6, 1e9);
-        else if (rest[i] == "--get")
-            a.get = need("--get");
+        else if (rest[i] == "--get") {
+            std::uint64_t key = 0;
+            if (!parseContentKey(need("--get"), key)) {
+                throw UsageError(csprintf(
+                    "--get wants a 1..16 hex-digit content key, got "
+                    "'%s'", rest[i].c_str()));
+            }
+            a.getKey = key;
+        }
         else if (rest[i] == "--stats")
             a.statsRequest = true;
         else if (rest[i] == "--max-conns")
@@ -931,8 +939,7 @@ cmdServe(const std::string &dir, const Args &a)
     };
 
     SimServer server(sopts);
-    const ServeReport rep = server.run();
-    std::printf("powerchopd: %s\n", rep.summary().c_str());
+    std::printf("powerchopd: %s\n", server.run().summary().c_str());
     // A drained daemon exits like an interrupted campaign: 3 tells
     // a supervisor "clean but signal-initiated" (a second signal
     // hard-exits 128+sig from the handler itself).
@@ -945,7 +952,7 @@ cmdClient(const Args &a)
 {
     if (a.socket.empty() && a.port == 0)
         fatal("client requires --socket PATH or --port N");
-    if (!a.get.empty() && a.statsRequest)
+    if (a.getKey && a.statsRequest)
         fatal("client: --get and --stats are mutually exclusive");
 
     ServeClient client;
@@ -967,13 +974,8 @@ cmdClient(const Args &a)
     ServeReply reply;
     if (a.statsRequest) {
         reply = client.stats();
-    } else if (!a.get.empty()) {
-        char *end = nullptr;
-        const std::uint64_t key =
-            std::strtoull(a.get.c_str(), &end, 16);
-        if (a.get.empty() || !end || *end != '\0')
-            fatal("client: --get wants a hex content key");
-        reply = client.get(key);
+    } else if (a.getKey) {
+        reply = client.get(*a.getKey);
     } else {
         // Matrix flags become a SIM spec with the same defaults as
         // `powerchop campaign`, so the served report matches a
@@ -1106,8 +1108,13 @@ cmdCampaignWorker(const std::string &dir, const Args &a)
             }
             if (line.empty())
                 continue;
-            assigned.push_back(
-                std::strtoull(line.c_str(), nullptr, 16));
+            std::uint64_t key = 0;
+            if (!parseContentKey(line, key)) {
+                fatal("campaign-worker: assigned key '%s' is not 1..16 "
+                      "hex digits",
+                      line.c_str());
+            }
+            assigned.push_back(key);
         }
     }
 
@@ -1198,8 +1205,7 @@ cmdCampaignWorker(const std::string &dir, const Args &a)
         snap.jobLatencyMs =
             runner.report().taskLatencyNs.quantiles(1e-6);
         snap.fsyncLatencyMs = fsync_latency_ns.quantiles(1e-6);
-        if (telemetry::StageProfiler::global().enabled())
-            snap.stages = telemetry::StageProfiler::global().snapshot();
+        snap.stages = telemetry::StageProfiler::global().snapshot();
         snap.finished = finished;
         return snap;
     };
