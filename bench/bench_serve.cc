@@ -50,20 +50,6 @@ splitList(const std::string &csv)
     return out;
 }
 
-bool
-modeFromName(const std::string &name, SimMode &out)
-{
-    for (SimMode mode : {SimMode::FullPower, SimMode::PowerChop,
-                         SimMode::MinPower, SimMode::TimeoutVpu,
-                         SimMode::DrowsyMlc}) {
-        if (name == simModeName(mode)) {
-            out = mode;
-            return true;
-        }
-    }
-    return false;
-}
-
 /** One key of the working set: the content key plus the single-job
  *  SIM spec that populates it on a read-through miss. */
 struct KeyPoint
@@ -175,7 +161,7 @@ main(int argc, char **argv)
                 fatal("unknown machine \"%s\"", mname.c_str());
             for (const std::string &modeName : modes) {
                 SimMode mode;
-                if (!modeFromName(modeName, mode))
+                if (!parseSimMode(modeName, mode))
                     fatal("unknown mode \"%s\"", modeName.c_str());
                 SimJob job;
                 job.workload = findWorkload(wname);

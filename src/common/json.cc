@@ -383,9 +383,6 @@ escape(const std::string &s)
           case '\t':
             out += "\\t";
             break;
-          case '\r':
-            out += "\\r";
-            break;
           default:
             if (c < 0x20)
                 out += csprintf("\\u%04x", c);

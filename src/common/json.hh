@@ -137,7 +137,9 @@ class Value
 bool parse(const std::string &text, Value &out,
            std::string *error = nullptr);
 
-/** JSON string escaping for emitters (quotes not included). */
+/** JSON string escaping for emitters (quotes not included): `"`,
+ *  `\`, newline and tab by name, every other byte below 0x20 as
+ *  \u00XX, the rest verbatim. */
 std::string escape(const std::string &s);
 
 } // namespace json

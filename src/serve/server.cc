@@ -20,7 +20,6 @@
 #include "common/json.hh"
 #include "common/logging.hh"
 #include "sim/campaign.hh"
-#include "sim/machine_config.hh"
 #include "sim/statusboard.hh"
 #include "workload/suites.hh"
 
@@ -30,44 +29,19 @@ namespace powerchop
 namespace
 {
 
+/** Matrix-size ceiling: bounds one request's memory and runner time
+ *  (a wide tournament goes through campaigns, not one socket hit). */
+constexpr std::size_t kMaxJobsPerRequest = 4096;
+
 /** A SIM spec, decoded from the wire. */
 struct SimSpec
 {
-    std::vector<std::string> workloads;
+    std::vector<WorkloadSpec> workloads;
     std::vector<std::string> machines;
     std::vector<SimMode> modes;
     InsnCount insns = 200'000;
     double timeoutCycles = 0;
 };
-
-/** Non-fatal mode lookup (the CLI's parseMode fatal()s — a daemon
- *  must answer ERR, not die, on a bad request). */
-bool
-modeFromName(const std::string &name, SimMode &out)
-{
-    for (SimMode mode : {SimMode::FullPower, SimMode::PowerChop,
-                         SimMode::MinPower, SimMode::TimeoutVpu,
-                         SimMode::DrowsyMlc}) {
-        if (name == simModeName(mode)) {
-            out = mode;
-            return true;
-        }
-    }
-    return false;
-}
-
-/** Non-fatal workload-name check against the built-in suite table
- *  (file paths are deliberately not servable: the daemon's matrix
- *  vocabulary must be content-addressable by name alone). */
-bool
-workloadExists(const std::string &name)
-{
-    for (const WorkloadSpec &w : allWorkloads()) {
-        if (w.name == name)
-            return true;
-    }
-    return false;
-}
 
 bool
 parseStringList(const json::Value &doc, const char *key,
@@ -96,17 +70,36 @@ parseSimSpec(const std::string &text, SimSpec &out, std::string &err)
         err = "spec is not a JSON object";
         return false;
     }
-    std::vector<std::string> modeNames;
-    if (!parseStringList(doc, "workloads", out.workloads, err) ||
+    std::vector<std::string> workloadNames, modeNames;
+    if (!parseStringList(doc, "workloads", workloadNames, err) ||
         !parseStringList(doc, "machines", out.machines, err) ||
         !parseStringList(doc, "modes", modeNames, err)) {
         return false;
     }
-    for (const std::string &w : out.workloads) {
-        if (!workloadExists(w)) {
-            err = csprintf("unknown workload \"%s\"", w.c_str());
+    // Checked on the axis sizes, before anything is resolved or
+    // expanded: a spec can name a product far past memory. The 1 MiB
+    // request line bounds each axis, so the product cannot overflow.
+    const std::size_t jobs =
+        workloadNames.size() * out.machines.size() * modeNames.size();
+    if (jobs > kMaxJobsPerRequest) {
+        err = csprintf("matrix of %zu jobs exceeds the per-request "
+                       "ceiling of %zu",
+                       jobs, kMaxJobsPerRequest);
+        return false;
+    }
+    // Built-in names only: file paths are deliberately not servable,
+    // since the daemon's matrix vocabulary must be content-
+    // addressable by name alone.
+    const std::vector<WorkloadSpec> builtins = allWorkloads();
+    for (const std::string &name : workloadNames) {
+        const auto it = std::find_if(
+            builtins.begin(), builtins.end(),
+            [&](const WorkloadSpec &w) { return w.name == name; });
+        if (it == builtins.end()) {
+            err = csprintf("unknown workload \"%s\"", name.c_str());
             return false;
         }
+        out.workloads.push_back(*it);
     }
     for (const std::string &m : out.machines) {
         if (m != "server" && m != "mobile") {
@@ -116,7 +109,7 @@ parseSimSpec(const std::string &text, SimSpec &out, std::string &err)
     }
     for (const std::string &m : modeNames) {
         SimMode mode;
-        if (!modeFromName(m, mode)) {
+        if (!parseSimMode(m, mode)) {
             err = csprintf("unknown mode \"%s\"", m.c_str());
             return false;
         }
@@ -130,33 +123,6 @@ parseSimSpec(const std::string &text, SimSpec &out, std::string &err)
     out.timeoutCycles = doc.getDouble("timeout", 0);
     return true;
 }
-
-/** Expand a spec workload-major, exactly like the CLI's
- *  buildCampaignJobs: identical order, identical content keys. */
-std::vector<SimJob>
-buildSpecJobs(const SimSpec &spec)
-{
-    std::vector<SimJob> jobs;
-    for (const std::string &wname : spec.workloads) {
-        for (const std::string &mname : spec.machines) {
-            for (SimMode mode : spec.modes) {
-                SimJob job;
-                job.workload = findWorkload(wname);
-                job.machine = mname == "server" ? serverConfig()
-                                                : mobileConfig();
-                job.opts.mode = mode;
-                job.opts.maxInstructions = spec.insns;
-                job.opts.timeoutCycles = spec.timeoutCycles;
-                jobs.push_back(std::move(job));
-            }
-        }
-    }
-    return jobs;
-}
-
-/** Matrix-size ceiling: bounds one request's memory and runner time
- *  (a wide tournament goes through campaigns, not one socket hit). */
-constexpr std::size_t kMaxJobsPerRequest = 4096;
 
 /** "<= 0 disables" seconds knob to a poll(2) millisecond budget,
  *  saturated at INT_MAX (about 24.8 days). */
@@ -419,13 +385,9 @@ SimServer::handleSim(const std::string &specJson,
         payload = err + "\n";
         return ResponseStatus::Err;
     }
-    const std::vector<SimJob> jobs = buildSpecJobs(spec);
-    if (jobs.size() > kMaxJobsPerRequest) {
-        payload = csprintf("matrix of %zu jobs exceeds the per-"
-                           "request ceiling of %zu\n",
-                           jobs.size(), kMaxJobsPerRequest);
-        return ResponseStatus::Err;
-    }
+    const std::vector<SimJob> jobs =
+        expandCampaignMatrix(spec.workloads, spec.machines, spec.modes,
+                             spec.insns, spec.timeoutCycles);
 
     CampaignResult result;
     result.keys.reserve(jobs.size());
@@ -647,14 +609,13 @@ SimServer::run()
     }
 
     // Status publishing rides its own thread so snapshots stay fresh
-    // while every handler thread is busy (mirrors the campaign
-    // worker's heartbeat).
+    // while every handler thread is busy (as the campaign loop's
+    // heartbeat does).
     std::unique_ptr<StatusPublisher> publisher;
     StopLatch statusStop;
     std::thread statusThread;
     if (!opts_.statusPath.empty()) {
-        publisher = std::make_unique<StatusPublisher>(
-            opts_.statusPath, opts_.statusIntervalSeconds);
+        publisher = std::make_unique<StatusPublisher>(opts_.statusPath);
         const auto makeSnapshot = [this](bool finished) {
             StatusSnapshot snap;
             snap.role = "server";

@@ -108,9 +108,6 @@ struct ServeOptions
     /** Statusboard snapshot path; empty disables publishing. */
     std::string statusPath;
 
-    /** Cadence floor of status publishing, seconds. */
-    double statusIntervalSeconds = 0.25;
-
     /** Operational log lines (bind/accept/shutdown events). */
     std::function<void(const std::string &)> onEvent;
 };

@@ -3,11 +3,15 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
+#include <cmath>
 #include <csignal>
-#include <cstdlib>
 #include <cstring>
+#include <filesystem>
+#include <limits>
 #include <memory>
+#include <mutex>
 #include <thread>
+#include <unordered_map>
 
 #include <sys/stat.h>
 #include <unistd.h>
@@ -15,10 +19,11 @@
 #include "common/atomic_file.hh"
 #include "common/clock.hh"
 #include "common/flight_recorder.hh"
+#include "common/json.hh"
 #include "common/logging.hh"
 #include "common/stop_latch.hh"
+#include "sim/machine_config.hh"
 #include "sim/statusboard.hh"
-#include "telemetry/trace.hh"
 #include "workload/spec_io.hh"
 
 namespace powerchop
@@ -62,94 +67,62 @@ canonicalOptionsText(const SimOptions &opts)
         static_cast<unsigned>(opts.staticPolicy.mlc));
 }
 
-bool
-fileExists(const std::string &path)
+/** Outcomes by report column; skipped and interrupted jobs are
+ *  resumable. */
+struct OutcomeTally
 {
-    struct stat st;
-    return ::stat(path.c_str(), &st) == 0;
+    std::size_t ok = 0, failed = 0, timedOut = 0, resumable = 0;
+};
+
+OutcomeTally
+tally(const std::vector<JobOutcome> &outcomes)
+{
+    OutcomeTally n;
+    for (const auto &o : outcomes) {
+        switch (o.status) {
+          case JobStatus::Ok:
+            ++n.ok;
+            break;
+          case JobStatus::Failed:
+            ++n.failed;
+            break;
+          case JobStatus::TimedOut:
+            ++n.timedOut;
+            break;
+          case JobStatus::Skipped:
+          case JobStatus::Interrupted:
+            ++n.resumable;
+            break;
+        }
+    }
+    return n;
 }
 
-/** Single-line JSON error payload for a non-ok journal record. */
+} // namespace
+
 std::string
 errorPayload(const JobOutcome &outcome)
 {
     return csprintf("{\"error\":\"%s\",\"attempts\":%u}",
-                    telemetry::jsonEscape(outcome.error).c_str(),
+                    json::escape(outcome.error).c_str(),
                     outcome.attempts);
 }
-
-} // namespace
 
 bool
 parseErrorPayload(const std::string &payload, std::string &error,
                   unsigned &attempts)
 {
-    // Inverse of errorPayload(): {"error":"<escaped>","attempts":N}.
-    std::size_t pos = 0;
-    if (payload.compare(pos, 10, "{\"error\":\"") != 0)
+    json::Value doc;
+    if (!json::parse(payload, doc) || !doc.isObject())
         return false;
-    pos += 10;
-
-    std::string text;
-    while (pos < payload.size() && payload[pos] != '"') {
-        char c = payload[pos++];
-        if (c != '\\') {
-            text += c;
-            continue;
-        }
-        if (pos >= payload.size())
-            return false;
-        const char esc = payload[pos++];
-        switch (esc) {
-          case '"':
-            text += '"';
-            break;
-          case '\\':
-            text += '\\';
-            break;
-          case 'n':
-            text += '\n';
-            break;
-          case 't':
-            text += '\t';
-            break;
-          case 'u': {
-            std::uint64_t code = 0;
-            if (pos + 4 > payload.size())
-                return false;
-            for (int i = 0; i < 4; ++i) {
-                const char h = payload[pos++];
-                code <<= 4;
-                if (h >= '0' && h <= '9')
-                    code |= static_cast<std::uint64_t>(h - '0');
-                else if (h >= 'a' && h <= 'f')
-                    code |= static_cast<std::uint64_t>(h - 'a' + 10);
-                else
-                    return false;
-            }
-            text += static_cast<char>(code);
-            break;
-          }
-          default:
-            return false;
-        }
-    }
-
-    const std::string tail = ",\"attempts\":";
-    if (payload.compare(pos, 1, "\"") != 0)
-        return false;
-    ++pos;
-    if (payload.compare(pos, tail.size(), tail) != 0)
-        return false;
-    pos += tail.size();
-    char *end = nullptr;
-    const unsigned long n =
-        std::strtoul(payload.c_str() + pos, &end, 10);
-    if (end == payload.c_str() + pos ||
-        std::string(end) != "}") {
+    const json::Value *text = doc.find("error");
+    const json::Value *tries = doc.find("attempts");
+    const double n = tries ? tries->asDouble(-1) : -1;
+    if (!text || !text->isString() || !(n >= 0) ||
+        n > std::numeric_limits<unsigned>::max() || n != std::trunc(n)) {
         return false;
     }
-    error = std::move(text);
+    error = text->asString();
     attempts = static_cast<unsigned>(n);
     return true;
 }
@@ -164,6 +137,53 @@ campaignJobKey(const SimJob &job)
     text += job.machine.canonicalText();
     text += canonicalOptionsText(job.opts);
     return fnv1a64(text);
+}
+
+std::vector<std::uint64_t>
+campaignJobKeys(const std::vector<SimJob> &jobs)
+{
+    std::vector<std::uint64_t> keys;
+    keys.reserve(jobs.size());
+    std::unordered_map<std::uint64_t, std::size_t> first;
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+        const std::uint64_t key = campaignJobKey(jobs[i]);
+        const auto [it, fresh] = first.emplace(key, i);
+        if (!fresh) {
+            fatal("campaign: jobs %zu and %zu have identical "
+                  "content keys (duplicate matrix entry?)",
+                  it->second, i);
+        }
+        keys.push_back(key);
+    }
+    return keys;
+}
+
+std::vector<SimJob>
+expandCampaignMatrix(const std::vector<WorkloadSpec> &workloads,
+                     const std::vector<std::string> &machines,
+                     const std::vector<SimMode> &modes, InsnCount insns,
+                     double timeoutCycles)
+{
+    std::vector<MachineConfig> configs;
+    for (const std::string &name : machines)
+        configs.push_back(name == "server" ? serverConfig()
+                                           : mobileConfig());
+    std::vector<SimJob> jobs;
+    jobs.reserve(workloads.size() * configs.size() * modes.size());
+    for (const WorkloadSpec &workload : workloads) {
+        for (const MachineConfig &machine : configs) {
+            for (SimMode mode : modes) {
+                SimJob job;
+                job.workload = workload;
+                job.machine = machine;
+                job.opts.mode = mode;
+                job.opts.maxInstructions = insns;
+                job.opts.timeoutCycles = timeoutCycles;
+                jobs.push_back(std::move(job));
+            }
+        }
+    }
+    return jobs;
 }
 
 bool
@@ -183,29 +203,12 @@ CampaignResult::complete() const
 std::string
 CampaignResult::summary() const
 {
-    std::size_t ok = 0, failed = 0, timed_out = 0, resumable = 0;
-    for (const auto &o : outcomes) {
-        switch (o.status) {
-          case JobStatus::Ok:
-            ++ok;
-            break;
-          case JobStatus::Failed:
-            ++failed;
-            break;
-          case JobStatus::TimedOut:
-            ++timed_out;
-            break;
-          case JobStatus::Skipped:
-          case JobStatus::Interrupted:
-            ++resumable;
-            break;
-        }
-    }
+    const OutcomeTally n = tally(outcomes);
     std::string s = csprintf(
         "%zu jobs: %zu replayed from journal, %zu executed; "
         "%zu ok, %zu failed, %zu timed out, %zu resumable",
-        outcomes.size(), replayed, executed, ok, failed, timed_out,
-        resumable);
+        outcomes.size(), replayed, executed, n.ok, n.failed,
+        n.timedOut, n.resumable);
     if (staleRecords > 0)
         s += csprintf("; %zu stale records rejected", staleRecords);
     if (corruptedRecords + truncatedRecords > 0) {
@@ -226,31 +229,13 @@ CampaignResult::summary() const
 std::string
 CampaignResult::reportJson() const
 {
-    std::size_t ok = 0, failed = 0, timed_out = 0, resumable = 0;
-    for (const auto &o : outcomes) {
-        switch (o.status) {
-          case JobStatus::Ok:
-            ++ok;
-            break;
-          case JobStatus::Failed:
-            ++failed;
-            break;
-          case JobStatus::TimedOut:
-            ++timed_out;
-            break;
-          case JobStatus::Skipped:
-          case JobStatus::Interrupted:
-            ++resumable;
-            break;
-        }
-    }
-
     // Only run-invariant data belongs here: a resumed campaign's
     // report must be byte-identical to an uninterrupted run's.
+    const OutcomeTally n = tally(outcomes);
     std::string s = csprintf(
         "{\"campaign\":{\"jobs\":%zu,\"ok\":%zu,\"failed\":%zu,"
         "\"timed_out\":%zu,\"resumable\":%zu},\n\"results\":[\n",
-        outcomes.size(), ok, failed, timed_out, resumable);
+        outcomes.size(), n.ok, n.failed, n.timedOut, n.resumable);
     for (std::size_t i = 0; i < outcomes.size(); ++i) {
         s += csprintf("{\"key\":\"%016llx\",\"status\":\"%s\"",
                       static_cast<unsigned long long>(keys[i]),
@@ -261,7 +246,7 @@ CampaignResult::reportJson() const
         } else if (!outcomes[i].error.empty()) {
             s += csprintf(
                 ",\"error\":\"%s\"",
-                telemetry::jsonEscape(outcomes[i].error).c_str());
+                json::escape(outcomes[i].error).c_str());
         }
         s += "}";
         if (i + 1 < outcomes.size())
@@ -311,80 +296,55 @@ installCampaignSignalHandlers()
     ::sigaction(SIGTERM, &sa, nullptr);
 }
 
+namespace
+{
+
+/**
+ * The one journaled job loop, behind runCampaign() and
+ * runCampaignShard(): content keys, journal replay, dispatch with a
+ * write-ahead record per outcome, flight events and the statusboard.
+ * A shard differs in three ways: stale records pass silently, its
+ * status file and role are its own, and it writes no report.json.
+ */
 CampaignResult
-runCampaign(SimJobRunner &runner, const std::vector<SimJob> &jobs,
-            const std::string &dir, const CampaignOptions &opts)
+runJournaledJobs(SimJobRunner &runner, const std::vector<SimJob> &jobs,
+                 const std::string &dir, const std::string &journalPath,
+                 bool shard, const CampaignOptions &opts)
 {
     CampaignResult result;
-    result.keys.reserve(jobs.size());
+    result.keys = campaignJobKeys(jobs);
     result.outcomes.resize(jobs.size());
     result.payloads.resize(jobs.size());
 
-    makeCampaignDirs(dir);
-    const std::string journal_path = dir + "/journal.jsonl";
-    const std::string report_path = dir + "/report.json";
+    std::unordered_map<std::uint64_t, std::size_t> index;
+    for (std::size_t i = 0; i < jobs.size(); ++i)
+        index.emplace(result.keys[i], i);
 
-    // Content keys. A duplicate key means two spec entries describe
-    // the byte-identical job — refuse rather than journal ambiguity.
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-        const std::uint64_t key = campaignJobKey(jobs[i]);
-        for (std::size_t j = 0; j < result.keys.size(); ++j) {
-            if (result.keys[j] == key) {
-                fatal("campaign: jobs %zu and %zu have identical "
-                      "content keys (duplicate matrix entry?)",
-                      j, i);
-            }
+    const JournalReplay replay = loadJournalIfPresent(journalPath);
+    result.corruptedRecords = replay.corrupted;
+    result.truncatedRecords = replay.truncated;
+    for (const JournalRecord &rec : replay.records) {
+        const auto it = index.find(rec.key);
+        if (it == index.end()) {
+            ++result.staleRecords;
+            continue;
         }
-        result.keys.push_back(key);
+        // Only completed records satisfy a job; failed and timed-out
+        // records document history but rerun.
+        if (rec.status != jobStatusName(JobStatus::Ok))
+            continue;
+        const std::size_t i = it->second;
+        result.outcomes[i].attempts = 0; // replayed
+        result.payloads[i] = rec.payload;
+        ++result.replayed;
+        if (opts.onJobDone)
+            opts.onJobDone(rec.key, result.outcomes[i], true);
     }
-
-    // Replay the journal (resume) or refuse a dirty directory.
-    if (!fileExists(journal_path) && opts.resume) {
-        // A --resume that finds no journal is a mistyped directory,
-        // not a fresh campaign: failing loudly here beats silently
-        // re-running the whole matrix somewhere unexpected.
-        fatal("campaign: --resume but no journal at %s; check the "
-              "campaign directory",
-              journal_path.c_str());
-    }
-    if (fileExists(journal_path)) {
-        if (!opts.resume) {
-            fatal("campaign: %s already exists; pass --resume to "
-                  "continue it or choose a fresh directory",
-                  journal_path.c_str());
-        }
-        const JournalReplay replay = loadJournal(journal_path);
-        result.corruptedRecords = replay.corrupted;
-        result.truncatedRecords = replay.truncated;
-
-        std::size_t matched = 0;
-        for (const auto &rec : replay.records) {
-            bool found = false;
-            for (std::size_t i = 0; i < jobs.size(); ++i) {
-                if (result.keys[i] != rec.key)
-                    continue;
-                found = true;
-                // Only completed records satisfy a job; failed and
-                // timed-out records document history but rerun.
-                if (rec.status == jobStatusName(JobStatus::Ok)) {
-                    result.outcomes[i].status = JobStatus::Ok;
-                    result.outcomes[i].attempts = 0; // replayed
-                    result.payloads[i] = rec.payload;
-                    ++result.replayed;
-                }
-                ++matched;
-                break;
-            }
-            if (!found)
-                ++result.staleRecords;
-        }
-        if (result.staleRecords > 0) {
-            warn("campaign: %zu journal records match no current "
-                 "job (spec or machine config changed); they are "
-                 "ignored and the jobs rerun",
-                 result.staleRecords);
-        }
-        (void)matched;
+    if (!shard && result.staleRecords > 0) {
+        warn("campaign: %zu journal records match no current "
+             "job (spec or machine config changed); they are "
+             "ignored and the jobs rerun",
+             result.staleRecords);
     }
 
     // Pending jobs: everything the journal did not satisfy.
@@ -404,32 +364,37 @@ runCampaign(SimJobRunner &runner, const std::vector<SimJob> &jobs,
 
     // Live observability (statusboard.hh). Everything below is a
     // write-only side channel: snapshots are derived from the same
-    // tallies the report uses, and nothing feeds back, so the journal
-    // and report.json are byte-identical with it on or off.
+    // outcomes the report uses, and nothing feeds back, so the
+    // journal and report.json are byte-identical with it on or off.
+    const std::string label = shard ? shardLabel(journalPath)
+                                    : std::string("campaign");
     std::unique_ptr<StatusPublisher> publisher;
+    if (opts.publishStatus) {
+        makeCampaignDirs(statusDirPath(dir));
+        publisher = std::make_unique<StatusPublisher>(
+            shard ? statusDirPath(dir) + "/" + label + ".json"
+                  : campaignStatusPath(dir));
+    }
     stats::Log2Histogram fsync_latency_ns;
     std::mutex inflight_mutex;
     std::vector<std::uint64_t> inflight;
-    std::atomic<std::size_t> done_jobs{0}, ok_jobs{0};
-    std::atomic<std::size_t> failed_jobs{0}, retried_jobs{0};
+    std::atomic<std::size_t> ok_jobs{0}, failed_jobs{0};
+    std::atomic<std::size_t> retried_jobs{0};
     const double obs_start = monotonicSeconds();
     const InsnCount obs_tally_start = simulatedInstructionTally();
 
-    if (opts.publishStatus) {
-        makeCampaignDirs(statusDirPath(dir));
-        publisher.reset(new StatusPublisher(
-            campaignStatusPath(dir), opts.statusIntervalSeconds));
-    }
-
     const auto makeSnapshot = [&](bool finished) {
         StatusSnapshot snap;
-        snap.role = "campaign";
-        snap.label = "campaign";
+        snap.role = shard ? "shard-worker" : "campaign";
+        snap.label = label;
         snap.jobsTotal = jobs.size();
-        const std::size_t executed_done = done_jobs.load();
-        snap.jobsDone = result.replayed + executed_done;
-        snap.jobsOk = result.replayed + ok_jobs.load();
-        snap.jobsFailed = failed_jobs.load();
+        // A job is done once it has a terminal record (ok, failed or
+        // timed out); skipped and interrupted jobs rerun on resume.
+        const std::size_t ok = ok_jobs.load();
+        const std::size_t failed = failed_jobs.load();
+        snap.jobsOk = result.replayed + ok;
+        snap.jobsFailed = failed;
+        snap.jobsDone = snap.jobsOk + snap.jobsFailed;
         snap.jobsRetried = retried_jobs.load();
         {
             std::lock_guard<std::mutex> lock(inflight_mutex);
@@ -442,10 +407,11 @@ runCampaign(SimJobRunner &runner, const std::vector<SimJob> &jobs,
                                     obs_tally_start) /
                 elapsed / 1e6;
         }
-        if (!finished && executed_done > 0 && elapsed > 0 &&
-            executed_done < pending.size()) {
-            snap.etaSeconds = (pending.size() - executed_done) *
-                              (elapsed / executed_done);
+        const std::size_t settled = ok + failed;
+        if (!finished && settled > 0 && elapsed > 0 &&
+            settled < pending.size()) {
+            snap.etaSeconds =
+                (pending.size() - settled) * (elapsed / settled);
         }
         snap.finished = finished;
         snap.jobLatencyMs =
@@ -456,69 +422,15 @@ runCampaign(SimJobRunner &runner, const std::vector<SimJob> &jobs,
     };
 
     if (!pending.empty()) {
-        JournalWriter writer(journal_path);
+        JournalWriter writer(journalPath);
         if (publisher)
             writer.setFlushLatencyHistogram(&fsync_latency_ns);
 
-        std::atomic<std::size_t> done{0};
         RobustRunOptions robust;
         robust.timeoutSeconds = opts.timeoutSeconds;
         robust.maxRetries = opts.maxRetries;
         robust.cancelFlag = interrupt;
         robust.drainSeconds = opts.drainSeconds;
-        robust.backoffBaseSeconds = opts.backoffBaseSeconds;
-        robust.backoffMaxSeconds = opts.backoffMaxSeconds;
-        robust.onComplete = [&](std::size_t pi, const SimResult &res,
-                                const JobOutcome &outcome) {
-            // Write-ahead: the record is durable (fsync'd) before
-            // the job counts as done. Resumable states (skipped /
-            // interrupted) journal nothing — they carry no result
-            // and rerun on resume.
-            const std::size_t i = pendingIndex[pi];
-            JournalRecord rec;
-            rec.key = result.keys[i];
-            rec.status = jobStatusName(outcome.status);
-            switch (outcome.status) {
-              case JobStatus::Ok:
-                rec.payload = res.toJson();
-                writer.append(rec);
-                break;
-              case JobStatus::Failed:
-              case JobStatus::TimedOut:
-                rec.payload = errorPayload(outcome);
-                writer.append(rec);
-                break;
-              case JobStatus::Skipped:
-              case JobStatus::Interrupted:
-                break;
-            }
-
-            FlightRecorder::global().record(
-                FlightEventType::JobFinish, rec.key,
-                jobStatusName(outcome.status));
-            done_jobs.fetch_add(1);
-            if (outcome.status == JobStatus::Ok)
-                ok_jobs.fetch_add(1);
-            else if (outcome.status == JobStatus::Failed ||
-                     outcome.status == JobStatus::TimedOut)
-                failed_jobs.fetch_add(1);
-            if (outcome.attempts > 1)
-                retried_jobs.fetch_add(outcome.attempts - 1);
-            if (publisher) {
-                {
-                    std::lock_guard<std::mutex> lock(inflight_mutex);
-                    const auto it = std::find(
-                        inflight.begin(), inflight.end(), rec.key);
-                    if (it != inflight.end())
-                        inflight.erase(it);
-                }
-                publisher->publish(makeSnapshot(false));
-            }
-
-            if (opts.onProgress)
-                opts.onProgress(done.fetch_add(1) + 1,
-                                pending.size());
-        };
         robust.onStart = [&](std::size_t pi) {
             const std::uint64_t key = result.keys[pendingIndex[pi]];
             FlightRecorder::global().record(FlightEventType::JobStart,
@@ -531,10 +443,61 @@ runCampaign(SimJobRunner &runner, const std::vector<SimJob> &jobs,
             }
             publisher->publish(makeSnapshot(false));
         };
+        robust.onComplete = [&](std::size_t pi, const SimResult &res,
+                                const JobOutcome &outcome) {
+            // Write-ahead: the record is durable (fsync'd) before
+            // the job counts as done. Resumable states (skipped /
+            // interrupted) journal nothing — they carry no result
+            // and rerun on resume.
+            const std::size_t i = pendingIndex[pi];
+            const std::uint64_t key = result.keys[i];
+            if (opts.preJournal)
+                opts.preJournal(key, outcome);
+            result.outcomes[i] = outcome;
+            JournalRecord rec;
+            rec.key = key;
+            rec.status = jobStatusName(outcome.status);
+            switch (outcome.status) {
+              case JobStatus::Ok:
+                rec.payload = res.toJson();
+                writer.append(rec);
+                result.payloads[i] = std::move(rec.payload);
+                ok_jobs.fetch_add(1);
+                break;
+              case JobStatus::Failed:
+              case JobStatus::TimedOut:
+                rec.payload = errorPayload(outcome);
+                writer.append(rec);
+                failed_jobs.fetch_add(1);
+                break;
+              case JobStatus::Skipped:
+              case JobStatus::Interrupted:
+                break;
+            }
+
+            FlightRecorder::global().record(
+                FlightEventType::JobFinish, key,
+                jobStatusName(outcome.status));
+            if (outcome.attempts > 1)
+                retried_jobs.fetch_add(outcome.attempts - 1);
+            if (publisher) {
+                {
+                    std::lock_guard<std::mutex> lock(inflight_mutex);
+                    const auto it = std::find(
+                        inflight.begin(), inflight.end(), key);
+                    if (it != inflight.end())
+                        inflight.erase(it);
+                }
+                publisher->publish(makeSnapshot(false));
+            }
+            if (opts.onJobDone)
+                opts.onJobDone(key, outcome, false);
+        };
 
         // A heartbeat publisher alongside the workers: with only
         // per-job publishing, one long job would leave the snapshot
-        // (and its heartbeat mtime) stale for its whole runtime.
+        // (and its heartbeat mtime) stale for its whole runtime. It
+        // is joined on every way out, a throwing batch included.
         StopLatch status_stop;
         std::thread status_thread;
         if (publisher) {
@@ -545,21 +508,19 @@ runCampaign(SimJobRunner &runner, const std::vector<SimJob> &jobs,
                     std::chrono::milliseconds(100)));
             });
         }
-
-        const RobustBatchResult batch =
+        const auto stopHeartbeat = [&] {
+            if (status_thread.joinable()) {
+                status_stop.stop();
+                status_thread.join();
+            }
+        };
+        try {
             runner.runRobust(pending, robust);
-
-        if (status_thread.joinable()) {
-            status_stop.stop();
-            status_thread.join();
+        } catch (...) {
+            stopHeartbeat();
+            throw;
         }
-
-        for (std::size_t pi = 0; pi < pending.size(); ++pi) {
-            const std::size_t i = pendingIndex[pi];
-            result.outcomes[i] = batch.outcomes[pi];
-            if (batch.outcomes[pi].status == JobStatus::Ok)
-                result.payloads[i] = batch.results[pi].toJson();
-        }
+        stopHeartbeat();
 
         // Interrupted-exit hygiene: drain the flush hooks exactly
         // once (the journal disarms after flushing, so a fatal()
@@ -568,17 +529,13 @@ runCampaign(SimJobRunner &runner, const std::vector<SimJob> &jobs,
         drainFlushHooks();
     }
 
-    result.interrupted =
-        interrupt->load(std::memory_order_relaxed) ||
-        std::any_of(result.outcomes.begin(), result.outcomes.end(),
-                    [](const JobOutcome &o) {
-                        return o.status == JobStatus::Skipped ||
-                               o.status == JobStatus::Interrupted;
-                    });
+    result.interrupted = interrupt->load(std::memory_order_relaxed) ||
+                         tally(result.outcomes).resumable > 0;
 
     // The merged report is rebuilt from scratch on every invocation
     // and written crash-safely: readers never see a torn file.
-    atomicWriteFile(report_path, result.reportJson());
+    if (!shard)
+        atomicWriteFile(dir + "/report.json", result.reportJson());
 
     // Terminal snapshot, forced past the cadence gate: `powerchop
     // status` on a finished campaign must show the final tallies.
@@ -587,123 +544,48 @@ runCampaign(SimJobRunner &runner, const std::vector<SimJob> &jobs,
     return result;
 }
 
-ShardRunResult
-runCampaignShard(SimJobRunner &runner,
-                 const std::vector<SimJob> &jobs,
-                 const std::string &journalPath,
-                 const ShardRunOptions &opts)
+} // namespace
+
+CampaignResult
+runCampaign(SimJobRunner &runner, const std::vector<SimJob> &jobs,
+            const std::string &dir, const CampaignOptions &opts)
 {
-    ShardRunResult result;
-    result.assigned = jobs.size();
-
-    std::vector<std::uint64_t> keys;
-    keys.reserve(jobs.size());
-    for (const auto &job : jobs)
-        keys.push_back(campaignJobKey(job));
-
-    // Resume from the shard journal: only ok records satisfy a job;
-    // failed / timed-out records document history but rerun, exactly
-    // like a single-process --resume.
-    std::vector<bool> satisfied(jobs.size(), false);
-    const JournalReplay replay = loadJournalIfPresent(journalPath);
-    for (const auto &rec : replay.records) {
-        for (std::size_t i = 0; i < keys.size(); ++i) {
-            if (keys[i] != rec.key || satisfied[i])
-                continue;
-            if (rec.status == jobStatusName(JobStatus::Ok)) {
-                satisfied[i] = true;
-                ++result.replayed;
-                if (opts.onJobDone) {
-                    JobOutcome replayed_outcome;
-                    replayed_outcome.status = JobStatus::Ok;
-                    replayed_outcome.attempts = 0;
-                    opts.onJobDone(keys[i], replayed_outcome, true);
-                }
-            }
-            break;
-        }
+    makeCampaignDirs(dir);
+    const std::string journal_path = dir + "/journal.jsonl";
+    const bool journal_exists = std::filesystem::exists(journal_path);
+    if (!journal_exists && opts.resume) {
+        // A --resume that finds no journal is a mistyped directory,
+        // not a fresh campaign: failing loudly here beats silently
+        // re-running the whole matrix somewhere unexpected.
+        fatal("campaign: --resume but no journal at %s; check the "
+              "campaign directory",
+              journal_path.c_str());
     }
-
-    std::vector<SimJob> pending;
-    std::vector<std::size_t> pendingIndex;
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-        if (!satisfied[i]) {
-            pending.push_back(jobs[i]);
-            pendingIndex.push_back(i);
-        }
+    if (journal_exists && !opts.resume) {
+        fatal("campaign: %s already exists; pass --resume to "
+              "continue it or choose a fresh directory",
+              journal_path.c_str());
     }
-    result.executed = pending.size();
+    return runJournaledJobs(runner, jobs, dir, journal_path, false,
+                            opts);
+}
 
-    const std::atomic<bool> *interrupt =
-        opts.interruptFlag ? opts.interruptFlag
-                           : &campaignInterruptFlag();
+CampaignResult
+runCampaignShard(SimJobRunner &runner, const std::vector<SimJob> &jobs,
+                 const std::string &journalPath,
+                 const CampaignOptions &opts)
+{
+    std::string dir =
+        std::filesystem::path(journalPath).parent_path().string();
+    if (dir.empty())
+        dir = ".";
+    return runJournaledJobs(runner, jobs, dir, journalPath, true, opts);
+}
 
-    bool all_terminal = true;
-    if (!pending.empty()) {
-        JournalWriter writer(journalPath);
-        if (opts.fsyncLatencyNs)
-            writer.setFlushLatencyHistogram(opts.fsyncLatencyNs);
-
-        RobustRunOptions robust;
-        robust.timeoutSeconds = opts.timeoutSeconds;
-        robust.maxRetries = opts.maxRetries;
-        robust.cancelFlag = interrupt;
-        robust.drainSeconds = opts.drainSeconds;
-        robust.backoffBaseSeconds = opts.backoffBaseSeconds;
-        robust.backoffMaxSeconds = opts.backoffMaxSeconds;
-        robust.onComplete = [&](std::size_t pi, const SimResult &res,
-                                const JobOutcome &outcome) {
-            const std::uint64_t key = keys[pendingIndex[pi]];
-            if (opts.preJournal)
-                opts.preJournal(key, outcome);
-            JournalRecord rec;
-            rec.key = key;
-            rec.status = jobStatusName(outcome.status);
-            switch (outcome.status) {
-              case JobStatus::Ok:
-                rec.payload = res.toJson();
-                writer.append(rec);
-                break;
-              case JobStatus::Failed:
-              case JobStatus::TimedOut:
-                rec.payload = errorPayload(outcome);
-                writer.append(rec);
-                break;
-              case JobStatus::Skipped:
-              case JobStatus::Interrupted:
-                break; // resumable: no record, the job reruns
-            }
-            FlightRecorder::global().record(
-                FlightEventType::JobFinish, key,
-                jobStatusName(outcome.status));
-            if (opts.onJobDone)
-                opts.onJobDone(key, outcome, false);
-        };
-        robust.onStart = [&](std::size_t pi) {
-            const std::uint64_t key = keys[pendingIndex[pi]];
-            FlightRecorder::global().record(FlightEventType::JobStart,
-                                            key);
-            if (opts.onJobStart)
-                opts.onJobStart(key);
-        };
-
-        const RobustBatchResult batch =
-            runner.runRobust(pending, robust);
-        for (const auto &outcome : batch.outcomes) {
-            if (outcome.status == JobStatus::Skipped ||
-                outcome.status == JobStatus::Interrupted) {
-                all_terminal = false;
-            }
-        }
-
-        writer.flush();
-        drainFlushHooks();
-    }
-
-    result.interrupted =
-        interrupt->load(std::memory_order_relaxed) || !all_terminal;
-    result.complete = all_terminal;
-    return result;
+std::string
+shardLabel(const std::string &journalPath)
+{
+    return std::filesystem::path(journalPath).stem().string();
 }
 
 } // namespace powerchop

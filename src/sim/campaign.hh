@@ -47,12 +47,33 @@ namespace powerchop
  */
 std::uint64_t campaignJobKey(const SimJob &job);
 
+/**
+ * The content key of every job, in job order. Two jobs with one key
+ * describe the byte-identical job, which no journal could tell
+ * apart, so a duplicate is fatal.
+ */
+std::vector<std::uint64_t> campaignJobKeys(const std::vector<SimJob> &jobs);
+
+/**
+ * Expand a campaign matrix into jobs, workload-major: for each
+ * workload, each machine ("server", otherwise mobile), each mode.
+ * The CLI's campaign, its shard workers and powerchopd's SIM all
+ * expand through here, so one matrix always yields the same jobs in
+ * the same order, and so the same content keys.
+ */
+std::vector<SimJob>
+expandCampaignMatrix(const std::vector<WorkloadSpec> &workloads,
+                     const std::vector<std::string> &machines,
+                     const std::vector<SimMode> &modes, InsnCount insns,
+                     double timeoutCycles);
+
 /** Campaign execution knobs. */
 struct CampaignOptions
 {
     /** Resume from an existing journal. Without this flag a campaign
      *  directory that already holds a journal is refused (fatal), so
-     *  accidental reuse cannot silently mix unrelated sweeps. */
+     *  accidental reuse cannot silently mix unrelated sweeps. A
+     *  shard (runCampaignShard) always resumes its journal. */
     bool resume = false;
 
     /** Per-job stuck-run watchdog in wall-clock seconds; 0 disables.
@@ -66,36 +87,44 @@ struct CampaignOptions
     /** Grace period for in-flight jobs after an interrupt. */
     double drainSeconds = 5.0;
 
-    /** Retry-backoff policy passed through to the robust batch. @{ */
-    double backoffBaseSeconds = 0.001;
-    double backoffMaxSeconds = 0.25;
-    /** @} */
-
     /** Interrupt flag the campaign polls; defaults to the process-
      *  wide flag raised by installCampaignSignalHandlers(). Tests
      *  point it at their own flag. */
     const std::atomic<bool> *interruptFlag = nullptr;
 
-    /** Progress callback: (jobs completed this run, jobs dispatched
-     *  this run). Runs on worker threads; must be thread-safe. */
-    std::function<void(std::size_t, std::size_t)> onProgress;
-
-    /** Publish live status snapshots to `dir`/status/campaign.json
-     *  (statusboard.hh) while the campaign runs. Write-only side
-     *  channel: report.json and the journal are byte-identical with
-     *  it on or off. */
+    /** Publish live status snapshots (statusboard.hh) while the
+     *  campaign runs: to `dir`/status/campaign.json, or for a shard
+     *  to status/<journal basename>.json beside its journal.
+     *  Write-only side channel: report.json and the journal are
+     *  byte-identical with it on or off. */
     bool publishStatus = false;
 
-    /** Cadence floor of status publishing, seconds. */
-    double statusIntervalSeconds = 0.25;
+    /** Invoked on the worker thread for every outcome immediately
+     *  BEFORE its record is appended to the journal. The shard
+     *  worker's crash injection lives here: a crash at this point is
+     *  the worst case, after the work but before durability, so the
+     *  job must rerun after a restart. */
+    std::function<void(std::uint64_t key, const JobOutcome &)>
+        preJournal;
+
+    /** Invoked once per job as it settles: during journal replay for
+     *  jobs an ok record satisfies (replayed = true), otherwise on
+     *  the worker thread once its record is durable (skipped and
+     *  interrupted jobs journal nothing). Must be thread-safe. */
+    std::function<void(std::uint64_t key, const JobOutcome &,
+                       bool replayed)>
+        onJobDone;
 };
 
+/** The journal payload of a failed or timed-out job: a single-line
+ *  `{"error":"<text>","attempts":N}` object. */
+std::string errorPayload(const JobOutcome &outcome);
+
 /**
- * Decode a non-ok journal payload written by a campaign (an
- * `{"error":...,"attempts":N}` object) back into the outcome fields.
- * Used by the shard merge step so a merged report renders the same
- * error text a live single-process run would.
- * @return false when the payload is not an error object.
+ * Decode a payload errorPayload() wrote back into the outcome
+ * fields. Used by the shard merge step so a merged report renders
+ * the same error text a live single-process run would.
+ * @return false when the payload is not such an object.
  */
 bool parseErrorPayload(const std::string &payload, std::string &error,
                        unsigned &attempts);
@@ -174,80 +203,26 @@ CampaignResult runCampaign(SimJobRunner &runner,
                            const std::string &dir,
                            const CampaignOptions &opts = {});
 
-/** Knobs of one shard worker's run (campaign-worker subcommand). */
-struct ShardRunOptions
-{
-    /** Per-job stuck-run watchdog; 0 disables. */
-    double timeoutSeconds = 0;
-
-    /** Extra attempts for jobs flagged transient. */
-    unsigned maxRetries = 0;
-
-    /** Grace period for in-flight jobs after an interrupt. */
-    double drainSeconds = 5.0;
-
-    /** Retry-backoff policy (see RobustRunOptions). @{ */
-    double backoffBaseSeconds = 0.001;
-    double backoffMaxSeconds = 0.25;
-    /** @} */
-
-    /** Interrupt flag the shard polls (SIGTERM from the supervisor
-     *  requests a graceful drain). */
-    const std::atomic<bool> *interruptFlag = nullptr;
-
-    /** Invoked on the worker thread immediately BEFORE a terminal
-     *  record is appended to the shard journal. The crash-injection
-     *  hook of the containment tests lives here: a crash at this
-     *  point is the worst case, after the work but before
-     *  durability, so the job must rerun after a restart. */
-    std::function<void(std::uint64_t key, const JobOutcome &)>
-        preJournal;
-
-    /** Invoked after a job's terminal record is durable (or, for
-     *  replayed jobs, during journal replay): the worker's protocol
-     *  emission. Must be thread-safe. */
-    std::function<void(std::uint64_t key, const JobOutcome &,
-                       bool replayed)>
-        onJobDone;
-
-    /** Invoked on the worker thread as a job begins executing (the
-     *  shard worker's statusboard tracks in-flight keys through
-     *  this). Must be thread-safe. */
-    std::function<void(std::uint64_t key)> onJobStart;
-
-    /** When non-null, the shard journal's per-append fsync latency
-     *  is sampled here (nanoseconds), for the worker statusboard.
-     *  Must outlive the run. */
-    stats::Log2Histogram *fsyncLatencyNs = nullptr;
-};
-
-/** What one shard worker invocation accomplished. */
-struct ShardRunResult
-{
-    std::size_t assigned = 0; ///< Jobs this shard owns.
-    std::size_t replayed = 0; ///< Satisfied from the shard journal.
-    std::size_t executed = 0; ///< Dispatched this invocation.
-    bool interrupted = false;
-
-    /** Every assigned job holds a terminal (ok / failed / timed-out)
-     *  record in the shard journal; the worker exits 0. */
-    bool complete = false;
-};
-
 /**
- * Run one shard of a campaign: the given jobs against a
- * shard-scoped write-ahead journal.
- *
- * Semantically runCampaign() minus the report: resumes from
- * `journalPath` (ok records satisfy jobs, failed/timed-out records
- * rerun), dispatches the remainder with write-ahead journaling, and
- * reports whether every assigned job reached a terminal record. The
- * supervisor merges shard journals into the campaign report.
+ * Run one shard of a sharded campaign (the campaign-worker
+ * subcommand): runCampaign()'s job loop against the shard journal
+ * `journalPath`, minus the directory checks and report.json, which
+ * the supervisor writes from the merged shard journals. The journal
+ * may already exist: resume is implied. Records for keys outside
+ * `jobs` are ignored without a warning, since a restarted worker is
+ * assigned only the keys its shard still lacks. Status goes to
+ * status/<journal basename>.json beside the journal, with role
+ * "shard-worker".
  */
-ShardRunResult runCampaignShard(SimJobRunner &runner,
+CampaignResult runCampaignShard(SimJobRunner &runner,
                                 const std::vector<SimJob> &jobs,
                                 const std::string &journalPath,
-                                const ShardRunOptions &opts = {});
+                                const CampaignOptions &opts = {});
+
+/** A shard journal's basename without ".jsonl" ("shard-0000",
+ *  "shard-0000h1"): the worker's statusboard label, also naming its
+ *  status and flight files. */
+std::string shardLabel(const std::string &journalPath);
 
 /** Create `dir` (and parents), tolerating existing directories;
  *  throws IoError on failure. Shared by campaign and supervisor. */

@@ -28,20 +28,17 @@ namespace powerchop
 namespace
 {
 
-/** Inverse of jobStatusName() for journal records. */
-bool
-jobStatusFromName(const std::string &name, JobStatus &out)
-{
-    for (JobStatus s : {JobStatus::Ok, JobStatus::Failed,
-                        JobStatus::TimedOut, JobStatus::Skipped,
-                        JobStatus::Interrupted}) {
-        if (name == jobStatusName(s)) {
-            out = s;
-            return true;
-        }
-    }
-    return false;
-}
+/** Restart backoff after a shard's n-th crash: base * 2^(n-1),
+ *  capped, in monotonic seconds. The supervisor keeps servicing the
+ *  other shards while it waits. @{ */
+constexpr double kRestartBackoffBaseSeconds = 0.1;
+constexpr double kRestartBackoffMaxSeconds = 2.0;
+/** @} */
+
+/** A straggler's tail is re-dispatched only while it has at least
+ *  this many keys left; below that a helper costs more than it
+ *  saves. */
+constexpr std::size_t kRedispatchMinKeys = 2;
 
 std::string
 resolveSelfExe(const std::string &configured)
@@ -82,15 +79,14 @@ listShardJournals(const std::string &dir)
 
 /** Bounded exponential restart backoff (monotonic seconds). */
 double
-restartBackoff(const ShardSupervisorOptions &opts, unsigned restarts)
+restartBackoff(unsigned restarts)
 {
-    double delay = opts.restartBackoffBaseSeconds;
-    for (unsigned i = 1; i < restarts &&
-                         delay < opts.restartBackoffMaxSeconds;
+    double delay = kRestartBackoffBaseSeconds;
+    for (unsigned i = 1; i < restarts && delay < kRestartBackoffMaxSeconds;
          ++i) {
         delay *= 2;
     }
-    return std::min(delay, opts.restartBackoffMaxSeconds);
+    return std::min(delay, kRestartBackoffMaxSeconds);
 }
 
 /** One live (or draining) worker process and its line buffer. */
@@ -186,22 +182,8 @@ runShardedCampaign(const std::vector<SimJob> &jobs,
               dir.c_str());
     }
 
-    // Content keys (with the same duplicate refusal as runCampaign)
-    // and the deterministic key-range partition.
-    std::vector<std::uint64_t> keys;
-    keys.reserve(jobs.size());
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-        const std::uint64_t key = campaignJobKey(jobs[i]);
-        for (std::size_t j = 0; j < keys.size(); ++j) {
-            if (keys[j] == key) {
-                fatal("campaign: jobs %zu and %zu have identical "
-                      "content keys (duplicate matrix entry?)",
-                      j, i);
-            }
-        }
-        keys.push_back(key);
-    }
-
+    // Content keys and the deterministic key-range partition.
+    const std::vector<std::uint64_t> keys = campaignJobKeys(jobs);
     const auto parts = partitionByKeyRange(keys, opts.shards);
     const unsigned shards = static_cast<unsigned>(parts.size());
     result.shards = shards;
@@ -264,8 +246,8 @@ runShardedCampaign(const std::vector<SimJob> &jobs,
     std::unique_ptr<StatusPublisher> publisher;
     if (opts.publishStatus) {
         makeCampaignDirs(statusDirPath(dir));
-        publisher.reset(new StatusPublisher(
-            campaignStatusPath(dir), opts.statusIntervalSeconds));
+        publisher =
+            std::make_unique<StatusPublisher>(campaignStatusPath(dir));
     }
     stats::Log2Histogram restart_backoff_ns;
     std::size_t ok_seen = 0, failed_seen = 0;
@@ -400,7 +382,7 @@ runShardedCampaign(const std::vector<SimJob> &jobs,
         const double now = monotonicSeconds();
 
         // Heartbeat publish; the cadence gate turns the 10ms poll
-        // into one write per statusIntervalSeconds.
+        // into one write per publisher interval.
         if (publisher)
             publisher->publish(makeSnapshot(false));
 
@@ -537,7 +519,7 @@ runShardedCampaign(const std::vector<SimJob> &jobs,
             }
             ++st.restarts;
             st.restartPending = true;
-            const double backoff = restartBackoff(opts, st.restarts);
+            const double backoff = restartBackoff(st.restarts);
             restart_backoff_ns.sample(
                 static_cast<std::uint64_t>(backoff * 1e9));
             st.nextSpawnAt = now + backoff;
@@ -630,7 +612,7 @@ runShardedCampaign(const std::vector<SimJob> &jobs,
                 if (!has_worker)
                     continue;
                 const std::size_t rem = remainingKeys(s).size();
-                if (rem >= opts.redispatchMinKeys && rem > worst) {
+                if (rem >= kRedispatchMinKeys && rem > worst) {
                     worst = rem;
                     straggler = s;
                 }

@@ -58,15 +58,9 @@ struct ShardSupervisorOptions
     bool resume = false;
 
     /** Restarts granted to each shard before its remaining jobs are
-     *  marked failed. */
+     *  marked failed. Each restart waits out a bounded exponential
+     *  backoff (0.1 s doubling to 2 s). */
     unsigned maxRestarts = 3;
-
-    /** Exponential backoff between a shard's crash and its restart:
-     *  base * 2^(restarts-1), capped. Monotonic-clock, and the
-     *  supervisor keeps servicing other shards while waiting. @{ */
-    double restartBackoffBaseSeconds = 0.1;
-    double restartBackoffMaxSeconds = 2.0;
-    /** @} */
 
     /** A worker silent (no stdout bytes) for this long is declared
      *  hung, SIGKILLed and restarted like a crash; 0 disables.
@@ -79,12 +73,10 @@ struct ShardSupervisorOptions
     double drainSeconds = 5.0;
 
     /** Straggler re-dispatch: when a worker slot is idle and a
-     *  running shard still has at least redispatchMinKeys remaining,
-     *  the tail half of its remaining keys is re-dispatched to a
-     *  helper worker (at most one per shard). @{ */
+     *  running shard still has at least two keys remaining, the tail
+     *  half of its remaining keys is re-dispatched to a helper worker
+     *  (at most one per shard). */
     bool redispatch = true;
-    std::size_t redispatchMinKeys = 2;
-    /** @} */
 
     /** Per-job knobs forwarded to workers. @{ */
     double jobTimeoutSeconds = 0;
@@ -113,9 +105,6 @@ struct ShardSupervisorOptions
      *  reader sees them within one cadence interval. Write-only side
      *  channel: report.json is byte-identical with it on or off. */
     bool publishStatus = false;
-
-    /** Cadence floor of status publishing, seconds. */
-    double statusIntervalSeconds = 0.25;
 };
 
 /** What a supervised campaign accomplished. */

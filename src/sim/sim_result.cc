@@ -27,6 +27,20 @@ simModeName(SimMode m)
     panic("unknown SimMode %d", static_cast<int>(m));
 }
 
+bool
+parseSimMode(const std::string &name, SimMode &out)
+{
+    for (SimMode mode : {SimMode::FullPower, SimMode::PowerChop,
+                         SimMode::MinPower, SimMode::TimeoutVpu,
+                         SimMode::DrowsyMlc}) {
+        if (name == simModeName(mode)) {
+            out = mode;
+            return true;
+        }
+    }
+    return false;
+}
+
 double
 SimResult::slowdownVs(const SimResult &base) const
 {

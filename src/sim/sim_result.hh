@@ -34,6 +34,14 @@ enum class SimMode : std::uint8_t
 /** @return a display name for a mode. */
 const char *simModeName(SimMode m);
 
+/**
+ * Inverse of simModeName() for the five modes a command line or a
+ * SIM request can name. static-policy is not among them: it needs a
+ * policy that no flag carries.
+ * @return false when `name` names none of them.
+ */
+bool parseSimMode(const std::string &name, SimMode &out);
+
 /** Everything measured in one run. */
 struct SimResult
 {

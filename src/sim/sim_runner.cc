@@ -68,6 +68,20 @@ jobStatusName(JobStatus s)
     panic("unknown JobStatus %d", static_cast<int>(s));
 }
 
+bool
+jobStatusFromName(const std::string &name, JobStatus &out)
+{
+    for (JobStatus s : {JobStatus::Ok, JobStatus::Failed,
+                        JobStatus::TimedOut, JobStatus::Skipped,
+                        JobStatus::Interrupted}) {
+        if (name == jobStatusName(s)) {
+            out = s;
+            return true;
+        }
+    }
+    return false;
+}
+
 double
 retryBackoffSeconds(const RobustRunOptions &opts,
                     std::size_t jobIndex, unsigned attempt)

@@ -67,6 +67,10 @@ enum class JobStatus : std::uint8_t
 /** @return a display name for a job status. */
 const char *jobStatusName(JobStatus s);
 
+/** Inverse of jobStatusName() (journal records, the worker pipe).
+ *  @return false when `name` names no status. */
+bool jobStatusFromName(const std::string &name, JobStatus &out);
+
 /** What happened to one job of a robust batch. */
 struct JobOutcome
 {

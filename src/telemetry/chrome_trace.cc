@@ -3,6 +3,7 @@
 #include <cstdio>
 
 #include "common/atomic_file.hh"
+#include "common/json.hh"
 #include "common/logging.hh"
 
 namespace powerchop
@@ -121,7 +122,7 @@ metadata(const char *kind, int pid, int tid, const std::string &name)
 {
     return csprintf("{\"name\":\"%s\",\"ph\":\"M\",\"pid\":%d,"
                     "\"tid\":%d,\"args\":{\"name\":\"%s\"}}",
-                    kind, pid, tid, jsonEscape(name).c_str());
+                    kind, pid, tid, json::escape(name).c_str());
 }
 
 void

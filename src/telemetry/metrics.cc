@@ -3,6 +3,7 @@
 #include <cstdio>
 
 #include "common/atomic_file.hh"
+#include "common/json.hh"
 #include "common/logging.hh"
 #include "core/gating_controller.hh"
 #include "core/htb.hh"
@@ -107,7 +108,7 @@ MetricsRegistry::toJsonl() const
                         row.cycles);
         for (std::size_t i = 0; i < row.values.size(); ++i) {
             out += csprintf(",\"%s\":%.10g",
-                            jsonEscape(columns_[i]).c_str(),
+                            json::escape(columns_[i]).c_str(),
                             row.values[i]);
         }
         out += "}\n";

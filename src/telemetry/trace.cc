@@ -122,35 +122,6 @@ TraceRecorder::fault(FaultEvent what)
              0, 0);
 }
 
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-          case '"':
-            out += "\\\"";
-            break;
-          case '\\':
-            out += "\\\\";
-            break;
-          case '\n':
-            out += "\\n";
-            break;
-          case '\t':
-            out += "\\t";
-            break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20)
-                out += csprintf("\\u%04x", c);
-            else
-                out += c;
-        }
-    }
-    return out;
-}
-
 const char *
 gateUnitName(GateUnit u)
 {

@@ -211,9 +211,6 @@ class TraceRecorder
     Cycles endCycles_ = 0;
 };
 
-/** Escape a string for embedding in a JSON string literal. */
-std::string jsonEscape(const std::string &s);
-
 /** @return display name of a gate unit ("VPU"/"BPU"/"MLC"). */
 const char *gateUnitName(GateUnit u);
 

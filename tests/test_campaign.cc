@@ -3,8 +3,9 @@
  * Tests for the durability layer: crash-safe atomic file writes, the
  * write-ahead result journal (torn/corrupt/duplicate recovery), job
  * content keys, deterministic retry backoff, the logging flush-hook
- * registry, and campaign run/interrupt/resume with bit-identical
- * merged reports.
+ * registry, campaign run/interrupt/resume with bit-identical
+ * merged reports, the status counts of both entries to the journaled
+ * job loop, and the journal's error payloads.
  */
 
 #include <csignal>
@@ -20,6 +21,8 @@
 #include "common/logging.hh"
 #include "sim/campaign.hh"
 #include "sim/sim_runner.hh"
+#include "sim/simulator.hh"
+#include "sim/statusboard.hh"
 #include "workload/suites.hh"
 #include "timing.hh"
 
@@ -537,9 +540,8 @@ TEST(Campaign, InterruptSkipsRemainderAndResumeIsBitIdentical)
     SimJobRunner runner(1);
     CampaignOptions opts;
     opts.interruptFlag = &flag;
-    opts.onProgress = [&](std::size_t done, std::size_t) {
-        if (done >= 1)
-            flag.store(true);
+    opts.onJobDone = [&](std::uint64_t, const JobOutcome &, bool) {
+        flag.store(true);
     };
     const CampaignResult res = runCampaign(runner, jobs, dir, opts);
     EXPECT_TRUE(res.interrupted);
@@ -583,6 +585,129 @@ TEST(Campaign, PreRaisedFlagSkipsEveryJob)
     resume.resume = true;
     resume.interruptFlag = &flag;
     EXPECT_TRUE(runCampaign(runner, jobs, dir, resume).complete());
+}
+
+/** The campaign entry (false) and the shard entry (true) share one
+ *  job loop; its status counts must agree with the journal. */
+class StatusCounts : public ::testing::TestWithParam<bool>
+{
+  protected:
+    /** Run `jobs` through the entry under test with status on and
+     *  return the final snapshot; `journal` gets the journal path. */
+    StatusSnapshot
+    run(const std::string &name, const std::vector<SimJob> &jobs,
+        CampaignOptions opts, std::string &journal)
+    {
+        const std::string dir =
+            freshDir(name + (GetParam() ? "-shard" : "-campaign"));
+        SimJobRunner runner(1);
+        opts.publishStatus = true;
+        std::string status;
+        if (GetParam()) {
+            makeCampaignDirs(dir);
+            journal = dir + "/shard-0000.jsonl";
+            runCampaignShard(runner, jobs, journal, opts);
+            status = statusDirPath(dir) + "/shard-0000.json";
+        } else {
+            journal = dir + "/journal.jsonl";
+            runCampaign(runner, jobs, dir, opts);
+            status = campaignStatusPath(dir);
+        }
+        StatusSnapshot snap;
+        EXPECT_TRUE(StatusSnapshot::fromJson(readFile(status), snap));
+        EXPECT_TRUE(snap.finished);
+        EXPECT_EQ(snap.jobsTotal, jobs.size());
+        EXPECT_EQ(snap.jobsDone, snap.jobsOk + snap.jobsFailed);
+        return snap;
+    }
+};
+
+TEST_P(StatusCounts, PreRaisedInterruptLeavesNothingDone)
+{
+    // Skipped jobs rerun on resume: they are neither done nor failed.
+    std::atomic<bool> flag{true};
+    CampaignOptions opts;
+    opts.interruptFlag = &flag;
+    std::string journal;
+    const StatusSnapshot snap =
+        run("status-preflag", smallMatrix(2), opts, journal);
+    EXPECT_EQ(snap.jobsDone, 0u);
+    EXPECT_EQ(snap.jobsFailed, 0u);
+}
+
+TEST_P(StatusCounts, DrainCountsOnlyJournaledJobsDone)
+{
+    std::atomic<bool> flag{false};
+    CampaignOptions opts;
+    opts.interruptFlag = &flag;
+    opts.onJobDone = [&](std::uint64_t, const JobOutcome &, bool) {
+        flag.store(true);
+    };
+    std::string journal;
+    const StatusSnapshot snap =
+        run("status-drain", smallMatrix(4), opts, journal);
+    EXPECT_GE(snap.jobsDone, 1u);
+    EXPECT_EQ(snap.jobsDone, loadJournal(journal).records.size());
+    EXPECT_EQ(snap.jobsFailed, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Entries, StatusCounts, ::testing::Bool(),
+    [](const ::testing::TestParamInfo<bool> &info) {
+        return std::string(info.param ? "shard" : "campaign");
+    });
+
+TEST(ErrorPayload, RoundTripsEveryErrorText)
+{
+    std::string controls;
+    for (int c = 0x01; c < 0x20; ++c)
+        controls += static_cast<char>(c);
+    const std::vector<std::string> texts = {
+        "",
+        "plain",
+        "a \"quoted\" word",
+        "back\\slash",
+        "line\nbreak",
+        "tab\there",
+        "carriage\rreturn",
+        controls,
+        "del\x7f",
+        "utf-8: \xc3\xa9 \xe2\x82\xac \xf0\x9f\x98\x80",
+    };
+    for (unsigned attempts : {0u, 1u, 7u}) {
+        for (const std::string &text : texts) {
+            JobOutcome outcome;
+            outcome.status = JobStatus::Failed;
+            outcome.error = text;
+            outcome.attempts = attempts;
+            const std::string payload = errorPayload(outcome);
+            std::string error = "unset";
+            unsigned decoded = 99;
+            ASSERT_TRUE(parseErrorPayload(payload, error, decoded))
+                << payload;
+            EXPECT_EQ(error, text) << payload;
+            EXPECT_EQ(decoded, attempts) << payload;
+        }
+    }
+}
+
+TEST(ErrorPayload, RejectsAnythingButAnErrorObject)
+{
+    // The shard merge falls back to a fixed error text for these.
+    const SimJob job = smallJob(1);
+    JobOutcome outcome;
+    outcome.error = "boom";
+    const std::string good = errorPayload(outcome);
+    for (const std::string &bad :
+         {simulate(job.machine, job.workload, job.opts).toJson(),
+          std::string("{}"), std::string("{\"error\":1}"),
+          std::string("{\"error\":\"x\",\"attempts\":-1}"),
+          std::string("{\"error\":\"x\",\"attempts\":1.5}"),
+          good.substr(0, good.size() - 1)}) {
+        std::string error;
+        unsigned attempts = 0;
+        EXPECT_FALSE(parseErrorPayload(bad, error, attempts)) << bad;
+    }
 }
 
 TEST(Campaign, StatusHeartbeatDoesNotDelayTheEnd)

@@ -610,6 +610,23 @@ TEST(SimServer, BadRequestsAnswerErrAndKeepServing)
         << "no bad request may reach the runner";
 }
 
+TEST(SimServer, OversizedMatrixIsRefusedBeforeExpansion)
+{
+    // A billion-job product must cost the daemon nothing: the
+    // ceiling is checked on the axis sizes, not on expanded jobs.
+    const std::string dir = freshDir("ceiling");
+    ServerFixture server(unixOptions(dir));
+    ServeClient c = server.client();
+    const ServeReply r = c.sim(formatSimSpec(
+        std::vector<std::string>(1000, "perlbench"),
+        std::vector<std::string>(1000, "server"),
+        std::vector<std::string>(1000, "full-power"), kInsns, 0));
+    EXPECT_EQ(r.status, ResponseStatus::Err);
+    EXPECT_EQ(r.payload, "matrix of 1000000000 jobs exceeds the "
+                         "per-request ceiling of 4096\n");
+    EXPECT_TRUE(c.stats().served()) << "connection still alive";
+}
+
 TEST(SimServer, WarmRestartServesHitsFromTheJournal)
 {
     const std::string dir = freshDir("warm");

@@ -245,24 +245,24 @@ TEST(ShardRun, CompletesAndJournalsEveryAssignedJob)
 
     SimJobRunner runner(1);
     std::size_t done_calls = 0;
-    ShardRunOptions opts;
+    CampaignOptions opts;
     opts.onJobDone = [&](std::uint64_t, const JobOutcome &, bool) {
         ++done_calls;
     };
-    const ShardRunResult res =
+    const CampaignResult res =
         runCampaignShard(runner, jobs, journal, opts);
-    EXPECT_TRUE(res.complete);
+    EXPECT_TRUE(res.complete());
     EXPECT_FALSE(res.interrupted);
-    EXPECT_EQ(res.assigned, 3u);
+    EXPECT_EQ(res.keys.size(), 3u);
     EXPECT_EQ(res.executed, 3u);
     EXPECT_EQ(res.replayed, 0u);
     EXPECT_EQ(done_calls, 3u);
     EXPECT_EQ(loadJournal(journal).records.size(), 3u);
 
     // A second run replays everything from the journal.
-    const ShardRunResult again =
+    const CampaignResult again =
         runCampaignShard(runner, jobs, journal, opts);
-    EXPECT_TRUE(again.complete);
+    EXPECT_TRUE(again.complete());
     EXPECT_EQ(again.replayed, 3u);
     EXPECT_EQ(again.executed, 0u);
 }
@@ -283,7 +283,7 @@ TEST(ShardRun, PreJournalFiresBeforeRecordIsDurable)
 
     SimJobRunner runner(1);
     std::size_t records_at_hook = 99;
-    ShardRunOptions opts;
+    CampaignOptions opts;
     opts.preJournal = [&](std::uint64_t, const JobOutcome &) {
         records_at_hook =
             loadJournalIfPresent(journal).records.size();
@@ -457,9 +457,9 @@ TEST(ShardedCampaign, ResumeCompletesPartialShardJournals)
         std::vector<SimJob> head = {matrix[parts[0][0]],
                                     matrix[parts[0][1]]};
         SimJobRunner runner(1);
-        const ShardRunResult res = runCampaignShard(
+        const CampaignResult res = runCampaignShard(
             runner, head, shardJournalPath(dir, 0), {});
-        ASSERT_TRUE(res.complete);
+        ASSERT_TRUE(res.complete());
     }
 
     std::vector<std::string> args = campaignArgs(dir, files);

@@ -220,11 +220,12 @@ TEST(TraceRecorder, ParamsValidateRejectsZeroCap)
 
 TEST(Telemetry, JsonEscape)
 {
-    EXPECT_EQ(jsonEscape("plain"), "plain");
-    EXPECT_EQ(jsonEscape("a\"b"), "a\\\"b");
-    EXPECT_EQ(jsonEscape("a\\b"), "a\\\\b");
-    EXPECT_EQ(jsonEscape("a\nb"), "a\\nb");
-    EXPECT_EQ(jsonEscape(std::string(1, '\x01')), "\\u0001");
+    EXPECT_EQ(json::escape("plain"), "plain");
+    EXPECT_EQ(json::escape("a\"b"), "a\\\"b");
+    EXPECT_EQ(json::escape("a\\b"), "a\\\\b");
+    EXPECT_EQ(json::escape("a\nb"), "a\\nb");
+    EXPECT_EQ(json::escape(std::string(1, '\x01')), "\\u0001");
+    EXPECT_EQ(json::escape("a\rb"), "a\\u000db");
 }
 
 TEST(Telemetry, EnumNames)

@@ -78,6 +78,7 @@
  * 2. --version prints the release and exits 0.
  */
 
+#include <algorithm>
 #include <atomic>
 #include <cctype>
 #include <cerrno>
@@ -87,7 +88,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <limits>
-#include <memory>
 #include <mutex>
 #include <optional>
 #include <stdexcept>
@@ -228,13 +228,10 @@ resolveWorkload(const std::string &arg)
 SimMode
 parseMode(const std::string &m)
 {
-    for (SimMode mode : {SimMode::FullPower, SimMode::PowerChop,
-                         SimMode::MinPower, SimMode::TimeoutVpu,
-                         SimMode::DrowsyMlc}) {
-        if (m == simModeName(mode))
-            return mode;
-    }
-    fatal("unknown mode '%s'", m.c_str());
+    SimMode mode;
+    if (!parseSimMode(m, mode))
+        fatal("unknown mode '%s'", m.c_str());
+    return mode;
 }
 
 struct Args
@@ -667,13 +664,70 @@ splitList(const std::string &csv)
     return out;
 }
 
+/** The campaign matrix the flags name, by axis: --workloads,
+ *  --machine, --modes (else --mode) and --insns, each unset axis
+ *  taken from the default matrix, which is perlbench, namd, canneal
+ *  and msn x server and mobile x the five named modes at 200K insns.
+ *  campaign, campaign-worker, client and verify's golden sweep all
+ *  read it. */
+struct MatrixFlags
+{
+    std::vector<std::string> workloads;
+    std::vector<std::string> machines;
+    std::vector<std::string> modes;
+    InsnCount insns = 200'000;
+};
+
+MatrixFlags
+matrixFlags(const Args &a)
+{
+    MatrixFlags m;
+    m.workloads = !a.workloads.empty()
+        ? splitList(a.workloads)
+        : std::vector<std::string>{"perlbench", "namd", "canneal",
+                                   "msn"};
+    m.machines = !a.machine.empty()
+        ? std::vector<std::string>{a.machine}
+        : std::vector<std::string>{"server", "mobile"};
+    if (!a.modes.empty())
+        m.modes = splitList(a.modes);
+    else if (a.modeSet)
+        m.modes = {simModeName(a.mode)};
+    else
+        m.modes = {"full-power", "powerchop", "min-power",
+                   "timeout-vpu", "drowsy-mlc"};
+    if (a.insnsSet)
+        m.insns = a.insns;
+    return m;
+}
+
+/** The campaign matrix named by the CLI options, in canonical
+ *  (workload-major) order. Shared by the in-process campaign, the
+ *  shard supervisor and the campaign-worker subcommand: all three
+ *  must derive identical job lists (and so identical content keys)
+ *  from the same flags. */
+std::vector<SimJob>
+buildCampaignJobs(const Args &a)
+{
+    const MatrixFlags m = matrixFlags(a);
+    std::vector<WorkloadSpec> workloads;
+    for (const std::string &name : m.workloads)
+        workloads.push_back(resolveWorkload(name));
+    std::vector<SimMode> modes;
+    for (const std::string &name : m.modes)
+        modes.push_back(parseMode(name));
+    return expandCampaignMatrix(workloads, m.machines, modes, m.insns,
+                                a.timeout);
+}
+
 int
 cmdVerify(const Args &a)
 {
-    // verify's default budget favours CI latency over figure quality:
-    // 200k instructions crosses many HTB windows and phase changes on
-    // every built-in model but keeps the full matrix in seconds.
-    const InsnCount insns = a.insnsSet ? a.insns : 200'000;
+    // verify's default budget, the default matrix's, favours CI
+    // latency over figure quality: 200k instructions crosses many HTB
+    // windows and phase changes on every built-in model but keeps the
+    // full matrix in seconds.
+    const InsnCount insns = matrixFlags(a).insns;
 
     verify::DifferentialMatrix matrix;
     matrix.insns = insns;
@@ -708,58 +762,36 @@ cmdVerify(const Args &a)
     if (!a.goldens.empty()) {
         // Goldens pin fault-free runs only; fault seeds exercise the
         // differential contract, not the snapshot store.
-        std::vector<std::string> workloads = !matrix.workloads.empty()
-            ? matrix.workloads
-            : std::vector<std::string>{"perlbench", "namd", "canneal",
-                                       "msn"};
-        std::vector<std::string> machines = !matrix.machines.empty()
-            ? matrix.machines
-            : std::vector<std::string>{"server", "mobile"};
-        std::vector<SimMode> modes = !matrix.modes.empty()
-            ? matrix.modes
-            : std::vector<SimMode>{SimMode::FullPower, SimMode::PowerChop,
-                                   SimMode::MinPower, SimMode::TimeoutVpu,
-                                   SimMode::DrowsyMlc};
         std::size_t updated = 0, checked = 0;
-        for (const auto &wname : workloads) {
-            for (const auto &mname : machines) {
-                for (SimMode mode : modes) {
-                    WorkloadSpec w = findWorkload(wname);
-                    MachineConfig m = mname == "server"
-                        ? serverConfig() : mobileConfig();
-                    SimOptions opts;
-                    opts.mode = mode;
-                    opts.maxInstructions = insns;
-                    opts.audit = true;
-                    SimResult r = simulate(m, w, opts);
-                    const std::string path = a.goldens + "/" +
-                        verify::goldenFileName(wname, mname,
-                                               simModeName(mode));
-                    if (a.updateGoldens) {
-                        verify::saveGolden(path, r.toJson());
-                        ++updated;
-                        continue;
-                    }
-                    verify::FlatJson golden;
-                    if (!verify::loadGolden(path, golden)) {
-                        std::printf("golden MISSING: %s (run with "
-                                    "--update-goldens)\n",
-                                    path.c_str());
-                        golden_ok = false;
-                        continue;
-                    }
-                    verify::GoldenDiff diff = verify::diffGolden(
-                        golden,
-                        verify::parseFlatJson(r.toJson(), "candidate"),
-                        a.tol);
-                    ++checked;
-                    if (!diff.ok()) {
-                        std::printf("golden FAIL: %s: %s\n",
-                                    path.c_str(),
-                                    diff.toString().c_str());
-                        golden_ok = false;
-                    }
-                }
+        for (const SimJob &job : buildCampaignJobs(a)) {
+            SimOptions opts = job.opts;
+            opts.audit = true;
+            SimResult r = simulate(job.machine, job.workload, opts);
+            const std::string path = a.goldens + "/" +
+                verify::goldenFileName(job.workload.name,
+                                       job.machine.name,
+                                       simModeName(opts.mode));
+            if (a.updateGoldens) {
+                verify::saveGolden(path, r.toJson());
+                ++updated;
+                continue;
+            }
+            verify::FlatJson golden;
+            if (!verify::loadGolden(path, golden)) {
+                std::printf("golden MISSING: %s (run with "
+                            "--update-goldens)\n",
+                            path.c_str());
+                golden_ok = false;
+                continue;
+            }
+            verify::GoldenDiff diff = verify::diffGolden(
+                golden, verify::parseFlatJson(r.toJson(), "candidate"),
+                a.tol);
+            ++checked;
+            if (!diff.ok()) {
+                std::printf("golden FAIL: %s: %s\n", path.c_str(),
+                            diff.toString().c_str());
+                golden_ok = false;
             }
         }
         if (a.updateGoldens)
@@ -771,52 +803,6 @@ cmdVerify(const Args &a)
     }
 
     return (report.ok() && golden_ok) ? 0 : 1;
-}
-
-/** The campaign matrix named by the CLI options, in canonical
- *  (workload-major) order. Shared by the in-process campaign, the
- *  shard supervisor and the campaign-worker subcommand: all three
- *  must derive identical job lists (and so identical content keys)
- *  from the same flags. */
-std::vector<SimJob>
-buildCampaignJobs(const Args &a)
-{
-    const std::vector<std::string> workloads = !a.workloads.empty()
-        ? splitList(a.workloads)
-        : std::vector<std::string>{"perlbench", "namd", "canneal",
-                                   "msn"};
-    const std::vector<std::string> machines = !a.machine.empty()
-        ? std::vector<std::string>{a.machine}
-        : std::vector<std::string>{"server", "mobile"};
-    std::vector<SimMode> modes;
-    if (!a.modes.empty()) {
-        for (const auto &m : splitList(a.modes))
-            modes.push_back(parseMode(m));
-    } else if (a.modeSet) {
-        modes = {a.mode};
-    } else {
-        modes = {SimMode::FullPower, SimMode::PowerChop,
-                 SimMode::MinPower, SimMode::TimeoutVpu,
-                 SimMode::DrowsyMlc};
-    }
-    const InsnCount insns = a.insnsSet ? a.insns : 200'000;
-
-    std::vector<SimJob> jobs;
-    for (const auto &wname : workloads) {
-        for (const auto &mname : machines) {
-            for (SimMode mode : modes) {
-                SimJob job;
-                job.workload = resolveWorkload(wname);
-                job.machine = mname == "server" ? serverConfig()
-                                                : mobileConfig();
-                job.opts.mode = mode;
-                job.opts.maxInstructions = insns;
-                job.opts.timeoutCycles = a.timeout;
-                jobs.push_back(std::move(job));
-            }
-        }
-    }
-    return jobs;
 }
 
 /** The matrix-defining flags to forward to campaign-worker
@@ -980,26 +966,9 @@ cmdClient(const Args &a)
         // Matrix flags become a SIM spec with the same defaults as
         // `powerchop campaign`, so the served report matches a
         // direct run of the identical command line byte-for-byte.
-        const std::vector<std::string> workloads =
-            !a.workloads.empty()
-                ? splitList(a.workloads)
-                : std::vector<std::string>{"perlbench", "namd",
-                                           "canneal", "msn"};
-        const std::vector<std::string> machines = !a.machine.empty()
-            ? std::vector<std::string>{a.machine}
-            : std::vector<std::string>{"server", "mobile"};
-        std::vector<std::string> modes;
-        if (!a.modes.empty()) {
-            modes = splitList(a.modes);
-        } else if (a.modeSet) {
-            modes = {simModeName(a.mode)};
-        } else {
-            modes = {"full-power", "powerchop", "min-power",
-                     "timeout-vpu", "drowsy-mlc"};
-        }
-        const InsnCount insns = a.insnsSet ? a.insns : 200'000;
-        reply = client.sim(formatSimSpec(workloads, machines, modes,
-                                         insns, a.timeout));
+        const MatrixFlags m = matrixFlags(a);
+        reply = client.sim(formatSimSpec(m.workloads, m.machines,
+                                         m.modes, m.insns, a.timeout));
     }
 
     if (reply.ioFailed) {
@@ -1123,92 +1092,26 @@ cmdCampaignWorker(const std::string &dir, const Args &a)
     // supervisor and worker disagree about the spec — fatal, because
     // silently dropping it would stall the campaign.
     const std::vector<SimJob> matrix = buildCampaignJobs(a);
-    std::vector<std::uint64_t> matrix_keys;
-    matrix_keys.reserve(matrix.size());
-    for (const auto &job : matrix)
-        matrix_keys.push_back(campaignJobKey(job));
-
+    const std::vector<std::uint64_t> matrix_keys =
+        campaignJobKeys(matrix);
     std::vector<SimJob> jobs;
     for (std::uint64_t key : assigned) {
-        bool found = false;
-        for (std::size_t i = 0; i < matrix.size(); ++i) {
-            if (matrix_keys[i] == key) {
-                jobs.push_back(matrix[i]);
-                found = true;
-                break;
-            }
-        }
-        if (!found) {
+        const auto it =
+            std::find(matrix_keys.begin(), matrix_keys.end(), key);
+        if (it == matrix_keys.end()) {
             fatal("campaign-worker: assigned key %016llx matches no "
                   "job of this matrix (flag mismatch with the "
                   "supervisor?)",
                   static_cast<unsigned long long>(key));
         }
+        jobs.push_back(matrix[it - matrix_keys.begin()]);
     }
 
     installCampaignSignalHandlers();
-
-    // The worker's statusboard identity is its journal basename
-    // ("shard-0000", "shard-0000-h1"): unique per worker process in
-    // the campaign dir, stable across restarts of the same shard.
-    std::string label = a.journal;
-    const std::size_t slash = label.find_last_of('/');
-    if (slash != std::string::npos)
-        label = label.substr(slash + 1);
-    if (label.size() > 6 &&
-        label.substr(label.size() - 6) == ".jsonl") {
-        label = label.substr(0, label.size() - 6);
-    }
-
-    std::unique_ptr<StatusPublisher> publisher;
-    if (statusboardEnabled()) {
-        makeCampaignDirs(statusDirPath(dir));
-        publisher = std::make_unique<StatusPublisher>(
-            statusDirPath(dir) + "/" + label + ".json");
-    }
     if (flightRecorderEnabled()) {
-        FlightRecorder::global().enable(dir + "/flight-" + label +
-                                        ".jsonl");
+        FlightRecorder::global().enable(dir + "/flight-" +
+                                        shardLabel(a.journal) + ".jsonl");
     }
-
-    std::atomic<std::size_t> done_jobs{0}, ok_jobs{0},
-        failed_jobs{0}, retried_jobs{0};
-    std::mutex inflight_mutex;
-    std::vector<std::uint64_t> inflight;
-    stats::Log2Histogram fsync_latency_ns;
-    SimJobRunner runner;
-    const double obs_start = monotonicSeconds();
-    const InsnCount obs_tally_start = simulatedInstructionTally();
-    const std::size_t total_jobs = jobs.size();
-    const auto makeSnapshot = [&](bool finished) {
-        StatusSnapshot snap;
-        snap.role = "shard-worker";
-        snap.label = label;
-        snap.jobsTotal = total_jobs;
-        snap.jobsDone = done_jobs.load(std::memory_order_relaxed);
-        snap.jobsOk = ok_jobs.load(std::memory_order_relaxed);
-        snap.jobsFailed =
-            failed_jobs.load(std::memory_order_relaxed);
-        snap.jobsRetried =
-            retried_jobs.load(std::memory_order_relaxed);
-        {
-            std::lock_guard<std::mutex> lock(inflight_mutex);
-            snap.inFlight = inflight;
-        }
-        const double elapsed = monotonicSeconds() - obs_start;
-        if (elapsed > 0) {
-            snap.mips = static_cast<double>(
-                            simulatedInstructionTally() -
-                            obs_tally_start) /
-                        elapsed / 1e6;
-        }
-        snap.jobLatencyMs =
-            runner.report().taskLatencyNs.quantiles(1e-6);
-        snap.fsyncLatencyMs = fsync_latency_ns.quantiles(1e-6);
-        snap.stages = telemetry::StageProfiler::global().snapshot();
-        snap.finished = finished;
-        return snap;
-    };
 
     // Protocol stdout (ready/hb/done lines) is shared between worker
     // threads and the heartbeat thread.
@@ -1220,23 +1123,17 @@ cmdCampaignWorker(const std::string &dir, const Args &a)
     };
     emit(csprintf("ready %zu", jobs.size()));
 
+    // ~500ms cadence keeps hang detection cheap and prompt; worker
+    // exit wakes the wait at once.
     StopLatch hb_stop;
     std::thread heartbeat([&] {
-        // ~500ms cadence keeps hang detection cheap and prompt; worker
-        // exit wakes the wait at once. The statusboard rides the same
-        // 100ms ticks (its publisher gates itself to the cadence
-        // floor), so MIPS and heartbeat age stay fresh even while a
-        // long job is in flight.
-        int tick = 0;
-        while (!hb_stop.waitFor(std::chrono::milliseconds(100))) {
-            if (publisher)
-                publisher->publish(makeSnapshot(false));
-            if (++tick >= 5) {
-                tick = 0;
-                emit("hb");
-            }
-        }
+        while (!hb_stop.waitFor(std::chrono::milliseconds(500)))
+            emit("hb");
     });
+    const auto stopHeartbeat = [&] {
+        hb_stop.stop();
+        heartbeat.join();
+    };
 
     // Crash injection for the containment tests: kill this process
     // at the worst possible point — after the assigned job's work,
@@ -1251,11 +1148,12 @@ cmdCampaignWorker(const std::string &dir, const Args &a)
     const std::string crash_mode =
         envString("POWERCHOP_TEST_CRASH_MODE").value_or("segv");
 
-    ShardRunOptions sopts;
-    sopts.timeoutSeconds = a.timeoutSeconds;
-    sopts.maxRetries = a.retries;
-    sopts.drainSeconds = a.drainSeconds;
-    sopts.preJournal = [&](std::uint64_t key, const JobOutcome &) {
+    CampaignOptions copts;
+    copts.timeoutSeconds = a.timeoutSeconds;
+    copts.maxRetries = a.retries;
+    copts.drainSeconds = a.drainSeconds;
+    copts.publishStatus = statusboardEnabled();
+    copts.preJournal = [&](std::uint64_t key, const JobOutcome &) {
         if (crash_key == 0 || key != crash_key)
             return;
         const std::string marker = csprintf(
@@ -1272,55 +1170,25 @@ cmdCampaignWorker(const std::string &dir, const Args &a)
             ::raise(SIGSEGV);
         }
     };
-    sopts.onJobStart = [&](std::uint64_t key) {
-        {
-            std::lock_guard<std::mutex> lock(inflight_mutex);
-            inflight.push_back(key);
-        }
-        if (publisher)
-            publisher->publish(makeSnapshot(false));
-    };
-    sopts.onJobDone = [&](std::uint64_t key, const JobOutcome &o,
+    copts.onJobDone = [&](std::uint64_t key, const JobOutcome &o,
                           bool) {
-        done_jobs.fetch_add(1, std::memory_order_relaxed);
-        if (o.status == JobStatus::Ok)
-            ok_jobs.fetch_add(1, std::memory_order_relaxed);
-        else
-            failed_jobs.fetch_add(1, std::memory_order_relaxed);
-        if (o.attempts > 1) {
-            retried_jobs.fetch_add(o.attempts - 1,
-                                   std::memory_order_relaxed);
-        }
-        {
-            std::lock_guard<std::mutex> lock(inflight_mutex);
-            for (auto it = inflight.begin(); it != inflight.end();
-                 ++it) {
-                if (*it == key) {
-                    inflight.erase(it);
-                    break;
-                }
-            }
-        }
-        if (publisher)
-            publisher->publish(makeSnapshot(false));
         emit(csprintf("done %016llx %s",
                       static_cast<unsigned long long>(key),
                       jobStatusName(o.status)));
     };
-    if (publisher)
-        sopts.fsyncLatencyNs = &fsync_latency_ns;
 
-    const ShardRunResult res =
-        runCampaignShard(runner, jobs, a.journal, sopts);
-
-    hb_stop.stop();
-    heartbeat.join();
-    if (publisher)
-        publisher->publish(makeSnapshot(true), true);
-
-    if (res.interrupted)
-        return campaignInterruptedExitStatus;
-    return res.complete ? 0 : 1;
+    SimJobRunner runner;
+    CampaignResult res;
+    try {
+        res = runCampaignShard(runner, jobs, a.journal, copts);
+    } catch (...) {
+        stopHeartbeat();
+        throw;
+    }
+    stopHeartbeat();
+    // Failed and timed-out jobs are terminal too: the worker is done
+    // unless the drain left some jobs resumable.
+    return res.interrupted ? campaignInterruptedExitStatus : 0;
 }
 
 int
@@ -1361,11 +1229,18 @@ cmdCampaign(const std::string &dir, const Args &a)
     copts.publishStatus = statusboardEnabled();
     if (flightRecorderEnabled())
         FlightRecorder::global().enable(dir + "/flight.jsonl");
-    copts.onProgress = [](std::size_t done, std::size_t total) {
-        // Generous budget: a wide matrix emits at most a few hundred
-        // lines, and only a pathological retry storm gets throttled.
+    std::atomic<std::size_t> settled{0};
+    copts.onJobDone = [&](std::uint64_t, const JobOutcome &,
+                          bool replayed) {
+        const std::size_t done = settled.fetch_add(1) + 1;
+        // Journal replay settles its jobs all at once; print only
+        // the jobs this run executes. Generous budget: a wide matrix
+        // emits at most a few hundred lines, and only a pathological
+        // retry storm gets throttled.
         static LogRateLimiter limiter(50.0, 200.0);
-        informLimited(limiter, "[campaign %zu/%zu]", done, total);
+        if (!replayed)
+            informLimited(limiter, "[campaign %zu/%zu]", done,
+                          jobs.size());
     };
 
     const CampaignResult res = runCampaign(runner, jobs, dir, copts);
