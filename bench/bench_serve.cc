@@ -104,53 +104,55 @@ main(int argc, char **argv)
     unsigned retries = 1;
     double timeoutSeconds = 0;
 
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        const auto value = [&]() -> std::string {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "%s wants a value\n",
-                             arg.c_str());
+    // Numbers go through the CLI's checked parser, so a bad value
+    // exits 2 before any client thread starts.
+    try {
+        for (int i = 1; i < argc; ++i) {
+            const std::string arg = argv[i];
+            const auto value = [&]() -> std::string {
+                if (i + 1 >= argc) {
+                    std::fprintf(stderr, "%s wants a value\n",
+                                 arg.c_str());
+                    usageExit();
+                }
+                return argv[++i];
+            };
+            if (arg == "--socket") {
+                socketPath = value();
+            } else if (arg == "--port") {
+                port = parseNumber<unsigned>("--port", value(), 0, 65535);
+            } else if (arg == "--threads") {
+                // POWERCHOP_JOBS's ceiling.
+                threads = parseNumber<unsigned>("--threads", value(), 1, 1024);
+            } else if (arg == "--requests") {
+                requestsPerThread =
+                    parseNumber<std::uint64_t>("--requests", value(), 1);
+            } else if (arg == "--workloads") {
+                workloads = splitList(value());
+            } else if (arg == "--machines") {
+                machines = splitList(value());
+            } else if (arg == "--modes") {
+                modes = splitList(value());
+            } else if (arg == "--insns") {
+                insns = parseNumber<std::uint64_t>("--insns", value(), 1);
+            } else if (arg == "--timeout") {
+                timeoutCycles = parseNumber<double>("--timeout", value());
+            } else if (arg == "--retries") {
+                retries = parseNumber<unsigned>("--retries", value());
+            } else if (arg == "--timeout-seconds") {
+                timeoutSeconds =
+                    parseNumber("--timeout-seconds", value(), 0.0, 1e9);
+            } else {
+                std::fprintf(stderr, "unknown option %s\n", arg.c_str());
                 usageExit();
             }
-            return argv[++i];
-        };
-        if (arg == "--socket") {
-            socketPath = value();
-        } else if (arg == "--port") {
-            port = static_cast<unsigned>(
-                std::strtoul(value().c_str(), nullptr, 10));
-        } else if (arg == "--threads") {
-            threads = static_cast<unsigned>(
-                std::strtoul(value().c_str(), nullptr, 10));
-        } else if (arg == "--requests") {
-            requestsPerThread =
-                std::strtoull(value().c_str(), nullptr, 10);
-        } else if (arg == "--workloads") {
-            workloads = splitList(value());
-        } else if (arg == "--machines") {
-            machines = splitList(value());
-        } else if (arg == "--modes") {
-            modes = splitList(value());
-        } else if (arg == "--insns") {
-            insns = std::strtoull(value().c_str(), nullptr, 10);
-        } else if (arg == "--timeout") {
-            timeoutCycles = std::strtod(value().c_str(), nullptr);
-        } else if (arg == "--retries") {
-            retries = static_cast<unsigned>(
-                std::strtoul(value().c_str(), nullptr, 10));
-        } else if (arg == "--timeout-seconds") {
-            timeoutSeconds = std::strtod(value().c_str(), nullptr);
-        } else {
-            std::fprintf(stderr, "unknown option %s\n", arg.c_str());
-            usageExit();
         }
-    }
-    if ((socketPath.empty() && port == 0) || threads == 0 ||
-        requestsPerThread == 0 || insns == 0) {
+    } catch (const UsageError &e) {
+        std::fprintf(stderr, "%s\n", e.what());
         usageExit();
     }
-    if (port > 65535)
-        fatal("--port must be in [1, 65535]");
+    if (socketPath.empty() && port == 0)
+        usageExit();
 
     // The working set: expand the matrix workload-major (the
     // daemon's order) and compute each job's content key locally.

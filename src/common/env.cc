@@ -1,5 +1,6 @@
 #include "common/env.hh"
 
+#include <cctype>
 #include <cerrno>
 #include <cmath>
 #include <cstdlib>
@@ -18,6 +19,9 @@ uintParseFailure(const char *raw, unsigned long long &out)
 {
     if (raw[0] == '-' || raw[0] == '+')
         return "a sign is not accepted";
+    // strtoull() skips leading blanks; a whole-string number cannot.
+    if (!std::isdigit(static_cast<unsigned char>(raw[0])))
+        return "not a number";
 
     errno = 0;
     char *end = nullptr;
@@ -95,6 +99,33 @@ envDouble(const char *name, double min, double max)
     if (v < min || v > max) {
         warn("ignoring %s=%g: outside [%g, %g]", name, v, min, max);
         return std::nullopt;
+    }
+    return v;
+}
+
+std::uint64_t
+parseUintFlag(const char *flag, const std::string &text,
+              std::uint64_t lo, std::uint64_t hi)
+{
+    unsigned long long v = 0;
+    if (uintParseFailure(text.c_str(), v) || v < lo || v > hi) {
+        throw UsageError(csprintf(
+            "%s wants an integer in [%llu, %llu], got '%s'", flag,
+            static_cast<unsigned long long>(lo),
+            static_cast<unsigned long long>(hi), text.c_str()));
+    }
+    return v;
+}
+
+double
+parseDoubleFlag(const char *flag, const std::string &text, double lo,
+                double hi)
+{
+    double v = 0;
+    if (doubleParseFailure(text.c_str(), v) || v < lo || v > hi) {
+        throw UsageError(csprintf("%s wants a number in [%g, %g], got "
+                                  "'%s'",
+                                  flag, lo, hi, text.c_str()));
     }
     return v;
 }

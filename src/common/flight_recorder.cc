@@ -31,8 +31,6 @@ flightEventTypeName(FlightEventType t)
         return "worker-crash";
       case FlightEventType::Restart:
         return "restart";
-      case FlightEventType::Redispatch:
-        return "redispatch";
       case FlightEventType::Signal:
         return "signal";
       case FlightEventType::Note:

@@ -48,7 +48,6 @@ enum class FlightEventType : std::uint8_t
     WorkerExit,    ///< A shard worker exited cleanly.
     WorkerCrash,   ///< A shard worker died (signal / error exit).
     Restart,       ///< A crashed shard is being restarted.
-    Redispatch,    ///< Straggler keys re-dispatched to a helper.
     Signal,        ///< An interrupt was observed (drain requested).
     Note,          ///< Anything else worth a line in the postmortem.
 };

@@ -137,7 +137,7 @@ class Subprocess
      * Wait up to `timeoutSeconds` (monotonic) for termination,
      * draining stdout while waiting so a chatty child cannot
      * deadlock on a full pipe. Does NOT kill on timeout — the caller
-     * decides whether a survivor is a straggler or a hang.
+     * decides whether a survivor is hung.
      *
      * @param drained Stdout bytes read while waiting are appended
      *                here when non-null.

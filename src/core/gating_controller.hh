@@ -96,8 +96,8 @@ class GatingController
 
     /** Bumped whenever the MLC way policy actually changes; lets the
      *  simulator cache the per-policy access counter it increments on
-     *  the memory hot path instead of re-dispatching on the policy
-     *  enum at every MLC access. */
+     *  the memory hot path instead of switching on the policy enum
+     *  at every MLC access. */
     std::uint64_t mlcPolicyEpoch() const { return mlcPolicyEpoch_; }
 
     /** Active MLC way fraction under the current policy. */

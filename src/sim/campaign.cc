@@ -1,7 +1,6 @@
 #include "sim/campaign.hh"
 
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
 #include <cmath>
 #include <csignal>
@@ -13,7 +12,6 @@
 #include <thread>
 #include <unordered_map>
 
-#include <sys/stat.h>
 #include <unistd.h>
 
 #include "common/atomic_file.hh"
@@ -67,15 +65,10 @@ canonicalOptionsText(const SimOptions &opts)
         static_cast<unsigned>(opts.staticPolicy.mlc));
 }
 
-/** Outcomes by report column; skipped and interrupted jobs are
- *  resumable. */
-struct OutcomeTally
-{
-    std::size_t ok = 0, failed = 0, timedOut = 0, resumable = 0;
-};
+} // namespace
 
 OutcomeTally
-tally(const std::vector<JobOutcome> &outcomes)
+CampaignResult::tally() const
 {
     OutcomeTally n;
     for (const auto &o : outcomes) {
@@ -97,8 +90,6 @@ tally(const std::vector<JobOutcome> &outcomes)
     }
     return n;
 }
-
-} // namespace
 
 std::string
 errorPayload(const JobOutcome &outcome)
@@ -203,7 +194,7 @@ CampaignResult::complete() const
 std::string
 CampaignResult::summary() const
 {
-    const OutcomeTally n = tally(outcomes);
+    const OutcomeTally n = tally();
     std::string s = csprintf(
         "%zu jobs: %zu replayed from journal, %zu executed; "
         "%zu ok, %zu failed, %zu timed out, %zu resumable",
@@ -216,10 +207,9 @@ CampaignResult::summary() const
                       "torn lines",
                       corruptedRecords, truncatedRecords);
     }
-    if (workerCrashes + workerRestarts + redispatches > 0) {
-        s += csprintf("; supervisor: %zu worker crashes, %zu "
-                      "restarts, %zu re-dispatches",
-                      workerCrashes, workerRestarts, redispatches);
+    if (workerCrashes + workerRestarts > 0) {
+        s += csprintf("; supervisor: %zu worker crashes, %zu restarts",
+                      workerCrashes, workerRestarts);
     }
     if (interrupted)
         s += " [interrupted: resume with --resume]";
@@ -231,7 +221,7 @@ CampaignResult::reportJson() const
 {
     // Only run-invariant data belongs here: a resumed campaign's
     // report must be byte-identical to an uninterrupted run's.
-    const OutcomeTally n = tally(outcomes);
+    const OutcomeTally n = tally();
     std::string s = csprintf(
         "{\"campaign\":{\"jobs\":%zu,\"ok\":%zu,\"failed\":%zu,"
         "\"timed_out\":%zu,\"resumable\":%zu},\n\"results\":[\n",
@@ -260,21 +250,11 @@ CampaignResult::reportJson() const
 void
 makeCampaignDirs(const std::string &dir)
 {
-    std::string prefix;
-    std::size_t start = 0;
-    while (start <= dir.size()) {
-        std::size_t slash = dir.find('/', start);
-        if (slash == std::string::npos)
-            slash = dir.size();
-        prefix = dir.substr(0, slash);
-        start = slash + 1;
-        if (prefix.empty() || prefix == ".")
-            continue;
-        if (::mkdir(prefix.c_str(), 0755) != 0 && errno != EEXIST) {
-            throw IoError(csprintf("%s: mkdir failed: %s",
-                                   prefix.c_str(),
-                                   std::strerror(errno)));
-        }
+    std::error_code ec;
+    std::filesystem::create_directories(dir, ec);
+    if (ec) {
+        throw IoError(csprintf("%s: mkdir failed: %s", dir.c_str(),
+                               ec.message().c_str()));
     }
 }
 
@@ -530,7 +510,7 @@ runJournaledJobs(SimJobRunner &runner, const std::vector<SimJob> &jobs,
     }
 
     result.interrupted = interrupt->load(std::memory_order_relaxed) ||
-                         tally(result.outcomes).resumable > 0;
+                         result.tally().resumable > 0;
 
     // The merged report is rebuilt from scratch on every invocation
     // and written crash-safely: readers never see a torn file.

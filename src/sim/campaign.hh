@@ -11,7 +11,7 @@
  * budget) and journals each finished SimResult to an fsync'd
  * write-ahead JSONL file before counting it done. Resuming replays
  * the journal, verifies each record's key and checksum, skips every
- * completed job and re-dispatches only the remainder; the merged
+ * completed job and dispatches only the remainder; the merged
  * campaign report is bit-identical to an uninterrupted run.
  *
  * Shutdown is signal-aware: SIGINT/SIGTERM raise the campaign
@@ -129,6 +129,13 @@ std::string errorPayload(const JobOutcome &outcome);
 bool parseErrorPayload(const std::string &payload, std::string &error,
                        unsigned &attempts);
 
+/** Outcomes by report column; skipped and interrupted jobs are
+ *  resumable. */
+struct OutcomeTally
+{
+    std::size_t ok = 0, failed = 0, timedOut = 0, resumable = 0;
+};
+
 /** What a campaign invocation accomplished. */
 struct CampaignResult
 {
@@ -156,7 +163,9 @@ struct CampaignResult
     std::size_t corruptedRecords = 0;
     std::size_t truncatedRecords = 0;
 
-    /** The campaign was interrupted (resumable). */
+    /** The campaign was interrupted (resumable): the interrupt flag
+     *  rose or a job is left resumable. Single-process and sharded
+     *  campaigns set it by this one rule. */
     bool interrupted = false;
 
     /** Supervision tallies (sharded campaigns only; all zero for
@@ -165,11 +174,13 @@ struct CampaignResult
      *  single-process run's. @{ */
     std::size_t workerCrashes = 0;
     std::size_t workerRestarts = 0;
-    std::size_t redispatches = 0;
     /** @} */
 
     /** @return true when every job has an ok result. */
     bool complete() const;
+
+    /** The outcomes counted by report column. */
+    OutcomeTally tally() const;
 
     /** One-line human-readable summary. */
     std::string summary() const;
@@ -219,13 +230,14 @@ CampaignResult runCampaignShard(SimJobRunner &runner,
                                 const std::string &journalPath,
                                 const CampaignOptions &opts = {});
 
-/** A shard journal's basename without ".jsonl" ("shard-0000",
- *  "shard-0000h1"): the worker's statusboard label, also naming its
- *  status and flight files. */
+/** A shard journal's basename without ".jsonl" ("shard-0000"): the
+ *  worker's statusboard label, also naming its status and flight
+ *  files. */
 std::string shardLabel(const std::string &journalPath);
 
 /** Create `dir` (and parents), tolerating existing directories;
- *  throws IoError on failure. Shared by campaign and supervisor. */
+ *  throws IoError naming the path on failure. Shared by campaign,
+ *  supervisor and daemon. */
 void makeCampaignDirs(const std::string &dir);
 
 /** The process-wide campaign interrupt flag. */

@@ -9,7 +9,6 @@
 #include <map>
 #include <memory>
 #include <numeric>
-#include <set>
 #include <thread>
 
 #include <unistd.h>
@@ -35,11 +34,6 @@ constexpr double kRestartBackoffBaseSeconds = 0.1;
 constexpr double kRestartBackoffMaxSeconds = 2.0;
 /** @} */
 
-/** A straggler's tail is re-dispatched only while it has at least
- *  this many keys left; below that a helper costs more than it
- *  saves. */
-constexpr std::size_t kRedispatchMinKeys = 2;
-
 std::string
 resolveSelfExe(const std::string &configured)
 {
@@ -57,8 +51,8 @@ resolveSelfExe(const std::string &configured)
     return std::string(buf);
 }
 
-/** Every shard journal present in `dir` (primaries and re-dispatch
- *  helpers), sorted for a deterministic merge order. */
+/** Every shard journal present in `dir`, sorted for a deterministic
+ *  merge order. */
 std::vector<std::string>
 listShardJournals(const std::string &dir)
 {
@@ -67,8 +61,7 @@ listShardJournals(const std::string &dir)
     for (const auto &entry :
          std::filesystem::directory_iterator(dir, ec)) {
         const std::string name = entry.path().filename().string();
-        if (name.rfind("shard-", 0) == 0 && name.size() > 6 &&
-            name.size() >= 12 &&
+        if (name.rfind("shard-", 0) == 0 && name.size() >= 12 &&
             name.compare(name.size() - 6, 6, ".jsonl") == 0) {
             out.push_back(entry.path().string());
         }
@@ -89,24 +82,19 @@ restartBackoff(unsigned restarts)
     return std::min(delay, kRestartBackoffMaxSeconds);
 }
 
-/** One live (or draining) worker process and its line buffer. */
-struct WorkerSlot
-{
-    unsigned shard = 0;
-    unsigned helper = 0; ///< 0 = primary, >0 = re-dispatch helper
-    Subprocess proc;
-    std::string buf;
-    double lastActivity = 0;
-    bool active = false;
-};
-
-/** Everything the supervisor tracks about one shard. */
+/** Everything the supervisor tracks about one shard, its worker
+ *  process included. */
 struct ShardState
 {
     std::vector<std::uint64_t> keys; ///< Assigned keys (sorted).
-    std::set<std::uint64_t> terminal; ///< Keys with terminal records.
+    /** Settled keys: ok records in the shard journal, and the jobs
+     *  this run's workers reported ok, failed or timed out. */
+    std::map<std::uint64_t, JobStatus> settled;
+    Subprocess proc;         ///< The worker, while `active`.
+    std::string buf;         ///< Its unterminated stdout line.
+    double lastActivity = 0; ///< When it last wrote to stdout.
+    bool active = false;
     unsigned restarts = 0;
-    unsigned helpers = 0;
     bool restartPending = false;
     double nextSpawnAt = 0;
     bool done = false;
@@ -142,13 +130,9 @@ partitionByKeyRange(const std::vector<std::uint64_t> &keys,
 }
 
 std::string
-shardJournalPath(const std::string &dir, unsigned shard,
-                 unsigned helper)
+shardJournalPath(const std::string &dir, unsigned shard)
 {
-    if (helper == 0)
-        return csprintf("%s/shard-%04u.jsonl", dir.c_str(), shard);
-    return csprintf("%s/shard-%04uh%u.jsonl", dir.c_str(), shard,
-                    helper);
+    return csprintf("%s/shard-%04u.jsonl", dir.c_str(), shard);
 }
 
 ShardSupervisorResult
@@ -158,6 +142,7 @@ runShardedCampaign(const std::vector<SimJob> &jobs,
 {
     const double t0 = monotonicSeconds();
     ShardSupervisorResult result;
+    CampaignResult &camp = result.campaign;
 
     const auto event = [&](const std::string &msg) {
         if (opts.onEvent)
@@ -195,49 +180,33 @@ runShardedCampaign(const std::vector<SimJob> &jobs,
         std::sort(shard[s].keys.begin(), shard[s].keys.end());
     }
 
-    // Resume: any terminal record in any shard journal counts; ok
-    // and failed/timed-out records alike are terminal for the
-    // supervisor (workers rerun non-ok records themselves — the
-    // supervisor only decides whether the shard still needs a
-    // worker at all).
-    const auto reloadShardJournals = [&](unsigned s) {
-        shard[s].terminal.clear();
-        const std::string prefix = csprintf("shard-%04u", s);
-        for (const auto &path : listShardJournals(dir)) {
-            const std::string name =
-                std::filesystem::path(path).filename().string();
-            if (name.rfind(prefix, 0) != 0)
-                continue;
-            const JournalReplay replay = loadJournalIfPresent(path);
-            for (const auto &rec : replay.records) {
-                JobStatus st;
-                if (jobStatusFromName(rec.status, st) &&
-                    (st == JobStatus::Ok ||
-                     st == JobStatus::Failed ||
-                     st == JobStatus::TimedOut)) {
-                    shard[s].terminal.insert(rec.key);
-                }
+    // The single-process replay rule: only an ok record in the
+    // shard's journal satisfies a job, so failed and timed-out jobs
+    // rerun on resume.
+    const auto settleOkRecords = [&](unsigned s) {
+        ShardState &st = shard[s];
+        const JournalReplay replay =
+            loadJournalIfPresent(shardJournalPath(dir, s));
+        for (const JournalRecord &rec : replay.records) {
+            if (rec.status == jobStatusName(JobStatus::Ok) &&
+                std::binary_search(st.keys.begin(), st.keys.end(),
+                                   rec.key)) {
+                st.settled.emplace(rec.key, JobStatus::Ok);
             }
         }
     };
 
     std::size_t replayedAtStart = 0;
     for (unsigned s = 0; s < shards; ++s) {
-        reloadShardJournals(s);
-        replayedAtStart += shard[s].terminal.size();
-        if (shard[s].keys.empty() ||
-            shard[s].terminal.size() >= shard[s].keys.size()) {
-            shard[s].done = true;
-        }
+        settleOkRecords(s);
+        replayedAtStart += shard[s].settled.size();
+        shard[s].done = shard[s].settled.size() == shard[s].keys.size();
     }
 
     const std::string exe = resolveSelfExe(opts.exePath);
     const std::atomic<bool> *interrupt =
         opts.interruptFlag ? opts.interruptFlag
                            : &campaignInterruptFlag();
-
-    std::vector<WorkerSlot> slots;
-    slots.reserve(shards * 2);
 
     // Live observability: the supervisor aggregate snapshot (one
     // per-shard health entry each) plus flight-recorder events.
@@ -250,7 +219,6 @@ runShardedCampaign(const std::vector<SimJob> &jobs,
             std::make_unique<StatusPublisher>(campaignStatusPath(dir));
     }
     stats::Log2Histogram restart_backoff_ns;
-    std::size_t ok_seen = 0, failed_seen = 0;
     FlightRecorder &flight = FlightRecorder::global();
 
     const auto makeSnapshot = [&](bool finished) {
@@ -258,111 +226,78 @@ runShardedCampaign(const std::vector<SimJob> &jobs,
         snap.role = "supervisor";
         snap.label = "campaign";
         snap.jobsTotal = jobs.size();
-        std::size_t terminal = 0;
-        for (unsigned s = 0; s < shards; ++s)
-            terminal += shard[s].terminal.size();
-        snap.jobsDone = terminal;
-        // ok/failed track live protocol reports; keys replayed from
-        // journals at startup are terminal-of-unknown-status here
-        // (the merge, not the statusboard, is the report of record).
-        snap.jobsOk = ok_seen;
-        snap.jobsFailed = failed_seen;
-        snap.restarts = result.restarts;
-        snap.finished = finished;
-        const double elapsed = monotonicSeconds() - t0;
-        const std::size_t fresh =
-            terminal - std::min(terminal, replayedAtStart);
-        if (!finished && fresh > 0 && elapsed > 0 &&
-            terminal < jobs.size()) {
-            snap.etaSeconds =
-                (jobs.size() - terminal) * (elapsed / fresh);
-        }
-        snap.restartBackoffMs = restart_backoff_ns.quantiles(1e-6);
         const double now = monotonicSeconds();
         for (unsigned s = 0; s < shards; ++s) {
+            const ShardState &st = shard[s];
+            for (const auto &[key, status] : st.settled) {
+                if (status == JobStatus::Ok)
+                    ++snap.jobsOk;
+                else
+                    ++snap.jobsFailed;
+            }
             ShardStatus sh;
             sh.shard = s;
-            sh.total = shard[s].keys.size();
-            sh.done = shard[s].terminal.size();
-            sh.restarts = shard[s].restarts;
-            sh.helpers = shard[s].helpers;
-            sh.failed = shard[s].failed;
-            for (const auto &slot : slots) {
-                if (slot.active && slot.shard == s) {
-                    sh.active = true;
-                    const double age = now - slot.lastActivity;
-                    if (sh.heartbeatAgeSeconds < 0 ||
-                        age < sh.heartbeatAgeSeconds) {
-                        sh.heartbeatAgeSeconds = age;
-                    }
-                }
-            }
+            sh.total = st.keys.size();
+            sh.done = st.settled.size();
+            sh.restarts = st.restarts;
+            sh.failed = st.failed;
+            sh.active = st.active;
+            if (st.active)
+                sh.heartbeatAgeSeconds = now - st.lastActivity;
             snap.shards.push_back(sh);
         }
+        snap.jobsDone = snap.jobsOk + snap.jobsFailed;
+        snap.restarts = camp.workerRestarts;
+        snap.finished = finished;
+        const double elapsed = now - t0;
+        const std::size_t fresh = snap.jobsDone - replayedAtStart;
+        if (!finished && fresh > 0 && elapsed > 0 &&
+            snap.jobsDone < jobs.size()) {
+            snap.etaSeconds =
+                (jobs.size() - snap.jobsDone) * (elapsed / fresh);
+        }
+        snap.restartBackoffMs = restart_backoff_ns.quantiles(1e-6);
         return snap;
     };
 
-    const auto remainingKeys = [&](unsigned s) {
-        std::vector<std::uint64_t> rem;
-        for (std::uint64_t k : shard[s].keys) {
-            if (!shard[s].terminal.count(k))
-                rem.push_back(k);
-        }
-        return rem;
-    };
-
-    const auto spawnWorker = [&](unsigned s,
-                                 std::vector<std::uint64_t> assigned,
-                                 unsigned helper) {
-        slots.emplace_back();
-        WorkerSlot &slot = slots.back();
-        slot.shard = s;
-        slot.helper = helper;
-
+    // Spawn a worker for the keys shard `s` has not settled.
+    const auto spawnWorker = [&](unsigned s) {
+        ShardState &st = shard[s];
         SpawnOptions sp;
         sp.argv = {exe, "campaign-worker", dir};
         sp.argv.insert(sp.argv.end(), opts.workerArgs.begin(),
                        opts.workerArgs.end());
         sp.argv.push_back("--journal");
-        sp.argv.push_back(shardJournalPath(dir, s, helper));
-        if (opts.jobTimeoutSeconds > 0) {
-            sp.argv.push_back("--timeout-seconds");
-            sp.argv.push_back(
-                csprintf("%.3f", opts.jobTimeoutSeconds));
-        }
-        if (opts.maxRetries > 0) {
-            sp.argv.push_back("--retries");
-            sp.argv.push_back(csprintf("%u", opts.maxRetries));
-        }
-        slot.proc.spawn(sp);
+        sp.argv.push_back(shardJournalPath(dir, s));
+        st.proc = Subprocess(); // a restart: spawn() runs once per object
+        st.proc.spawn(sp);
 
         std::string feed;
-        for (std::uint64_t k : assigned) {
+        std::size_t assigned = 0;
+        for (std::uint64_t k : st.keys) {
+            if (st.settled.count(k))
+                continue;
             feed += csprintf("%016llx\n",
                              static_cast<unsigned long long>(k));
+            ++assigned;
         }
-        slot.proc.writeStdin(feed);
-        slot.proc.closeStdin();
-        slot.lastActivity = monotonicSeconds();
-        slot.active = true;
+        st.proc.writeStdin(feed);
+        st.proc.closeStdin();
+        st.buf.clear();
+        st.lastActivity = monotonicSeconds();
+        st.active = true;
         flight.record(FlightEventType::WorkerSpawn, 0,
-                      csprintf("shard %u helper %u pid %d (%zu keys)",
-                               s, helper,
-                               static_cast<int>(slot.proc.pid()),
-                               assigned.size()));
-        event(csprintf("shard %u%s: worker pid %d spawned (%zu "
-                       "keys)",
-                       s,
-                       helper ? csprintf(" helper %u", helper).c_str()
-                              : "",
-                       static_cast<int>(slot.proc.pid()),
-                       assigned.size()));
+                      csprintf("shard %u pid %d (%zu keys)", s,
+                               static_cast<int>(st.proc.pid()),
+                               assigned));
+        event(csprintf("shard %u: worker pid %d spawned (%zu keys)", s,
+                       static_cast<int>(st.proc.pid()), assigned));
     };
 
-    // Initial spawn: one primary worker per unfinished shard.
+    // Initial spawn: one worker per unfinished shard.
     for (unsigned s = 0; s < shards; ++s) {
         if (!shard[s].done)
-            spawnWorker(s, remainingKeys(s), 0);
+            spawnWorker(s);
     }
 
     bool draining = false;
@@ -370,14 +305,14 @@ runShardedCampaign(const std::vector<SimJob> &jobs,
 
     const auto activeWorkers = [&] {
         std::size_t n = 0;
-        for (const auto &slot : slots)
-            n += slot.active;
+        for (const ShardState &st : shard)
+            n += st.active;
         return n;
     };
 
     // The supervision loop: drain worker output, classify deaths,
-    // restart with backoff, re-dispatch stragglers. 10ms poll keeps
-    // the loop responsive without measurable load.
+    // restart with backoff. 10ms poll keeps the loop responsive
+    // without measurable load.
     while (true) {
         const double now = monotonicSeconds();
 
@@ -386,88 +321,73 @@ runShardedCampaign(const std::vector<SimJob> &jobs,
         if (publisher)
             publisher->publish(makeSnapshot(false));
 
-        for (auto &slot : slots) {
-            if (!slot.active)
+        for (unsigned s = 0; s < shards; ++s) {
+            ShardState &st = shard[s];
+            if (!st.active)
                 continue;
-            ShardState &st = shard[slot.shard];
 
-            // Drain protocol lines. Any output refreshes liveness.
-            const std::string data = slot.proc.readAvailable();
+            // Poll before draining stdout: a worker seen dead has
+            // already written every line it will, so none is lost.
+            ExitStatus es = st.proc.poll();
+            const std::string data = st.proc.readAvailable();
             if (!data.empty()) {
-                slot.lastActivity = now;
-                slot.buf += data;
+                st.lastActivity = now;
+                st.buf += data;
                 std::size_t nl;
-                while ((nl = slot.buf.find('\n')) !=
-                       std::string::npos) {
-                    const std::string line = slot.buf.substr(0, nl);
-                    slot.buf.erase(0, nl + 1);
+                while ((nl = st.buf.find('\n')) != std::string::npos) {
+                    const std::string line = st.buf.substr(0, nl);
+                    st.buf.erase(0, nl + 1);
+                    // Only settled statuses count: a draining worker
+                    // also reports interrupted / skipped jobs, which
+                    // must stay pending. "ready"/"hb" lines only
+                    // carry liveness.
+                    JobStatus status{};
                     if (line.rfind("done ", 0) == 0 &&
-                        line.size() > 5 + 17) {
-                        const std::uint64_t key = std::strtoull(
-                            line.substr(5, 16).c_str(), nullptr, 16);
-                        // Only genuinely terminal statuses count: a
-                        // draining worker also reports interrupted /
-                        // skipped jobs, which must stay pending.
-                        const std::string status =
-                            line.substr(5 + 17);
-                        JobStatus st_val;
-                        if (jobStatusFromName(status, st_val) &&
-                            (st_val == JobStatus::Ok ||
-                             st_val == JobStatus::Failed ||
-                             st_val == JobStatus::TimedOut)) {
-                            if (st.terminal.insert(key).second) {
-                                if (st_val == JobStatus::Ok)
-                                    ++ok_seen;
-                                else
-                                    ++failed_seen;
-                            }
-                        }
+                        line.size() > 5 + 17 &&
+                        jobStatusFromName(line.substr(5 + 17),
+                                          status) &&
+                        (status == JobStatus::Ok ||
+                         status == JobStatus::Failed ||
+                         status == JobStatus::TimedOut)) {
+                        st.settled.emplace(
+                            std::strtoull(line.substr(5, 16).c_str(),
+                                          nullptr, 16),
+                            status);
                     }
-                    // "ready"/"hb" lines only carry liveness.
                 }
             }
 
             // Hung worker: alive but silent past the heartbeat
             // window. SIGKILL it and let the death path classify.
-            if (opts.heartbeatTimeoutSeconds > 0 &&
-                now - slot.lastActivity >
-                    opts.heartbeatTimeoutSeconds &&
-                slot.proc.poll().running()) {
+            if (es.running() && opts.heartbeatTimeoutSeconds > 0 &&
+                now - st.lastActivity > opts.heartbeatTimeoutSeconds) {
                 flight.record(
                     FlightEventType::HeartbeatMiss, 0,
-                    csprintf("shard %u pid %d silent %.1fs",
-                             slot.shard,
-                             static_cast<int>(slot.proc.pid()),
-                             now - slot.lastActivity));
+                    csprintf("shard %u pid %d silent %.1fs", s,
+                             static_cast<int>(st.proc.pid()),
+                             now - st.lastActivity));
                 event(csprintf("shard %u: worker pid %d hung (no "
                                "heartbeat for %.1fs); SIGKILL",
-                               slot.shard,
-                               static_cast<int>(slot.proc.pid()),
-                               now - slot.lastActivity));
-                slot.proc.killHard();
+                               s, static_cast<int>(st.proc.pid()),
+                               now - st.lastActivity));
+                st.proc.killHard();
+                es = st.proc.poll();
             }
-
-            const ExitStatus es = slot.proc.poll();
             if (es.running())
                 continue;
 
             // Death: the journal, not the exit status, is the truth
             // about what completed.
-            slot.active = false;
-            reloadShardJournals(slot.shard);
-            const std::vector<std::uint64_t> rem =
-                remainingKeys(slot.shard);
-            if (rem.empty()) {
-                if (!st.done) {
-                    st.done = true;
-                    flight.record(FlightEventType::WorkerExit, 0,
-                                  csprintf("shard %u complete (%s)",
-                                           slot.shard,
-                                           es.describe().c_str()));
-                    event(csprintf("shard %u: complete (%s)",
-                                   slot.shard,
-                                   es.describe().c_str()));
-                }
+            st.active = false;
+            settleOkRecords(s);
+            const std::size_t rem = st.keys.size() - st.settled.size();
+            if (rem == 0) {
+                st.done = true;
+                flight.record(FlightEventType::WorkerExit, 0,
+                              csprintf("shard %u complete (%s)", s,
+                                       es.describe().c_str()));
+                event(csprintf("shard %u: complete (%s)", s,
+                               es.describe().c_str()));
                 continue;
             }
             if (draining) {
@@ -485,14 +405,13 @@ runShardedCampaign(const std::vector<SimJob> &jobs,
                 warnLimited(limiter,
                             "shard %u: worker exited 0 with %zu jobs "
                             "unfinished",
-                            slot.shard, rem.size());
+                            s, rem);
             }
-            ++result.crashes;
+            ++camp.workerCrashes;
             const std::string what = csprintf(
                 "shard %u: worker died (%s) with %zu jobs "
                 "unfinished",
-                slot.shard, es.describe().c_str(), rem.size());
-            result.crashLog.push_back(what);
+                s, es.describe().c_str(), rem);
             // Crash postmortem: the flight ring is dumped right here,
             // not just on supervisor exit — a later SIGKILL of the
             // supervisor itself must not erase the evidence.
@@ -501,11 +420,6 @@ runShardedCampaign(const std::vector<SimJob> &jobs,
             if (publisher)
                 publisher->publish(makeSnapshot(false), true);
             event(what);
-            if (slot.helper > 0) {
-                // A dead helper is not restarted: the primary still
-                // owns every key; it just loses the speedup.
-                continue;
-            }
             if (st.restarts >= opts.maxRestarts) {
                 st.failed = true;
                 st.failReason = csprintf(
@@ -513,7 +427,7 @@ runShardedCampaign(const std::vector<SimJob> &jobs,
                     "restart budget (%u) exhausted",
                     static_cast<std::size_t>(st.restarts + 1),
                     es.describe().c_str(), opts.maxRestarts);
-                event(csprintf("shard %u: giving up: %s", slot.shard,
+                event(csprintf("shard %u: giving up: %s", s,
                                st.failReason.c_str()));
                 continue;
             }
@@ -532,9 +446,9 @@ runShardedCampaign(const std::vector<SimJob> &jobs,
             draining = true;
             drainDeadline = MonotonicDeadline(
                 opts.drainSeconds > 0 ? opts.drainSeconds : 0.001);
-            for (auto &slot : slots) {
-                if (slot.active)
-                    slot.proc.sendSignal(SIGTERM);
+            for (ShardState &st : shard) {
+                if (st.active)
+                    st.proc.sendSignal(SIGTERM);
             }
             flight.record(FlightEventType::Signal, 0,
                           "interrupt: draining workers");
@@ -546,10 +460,10 @@ runShardedCampaign(const std::vector<SimJob> &jobs,
             if (activeWorkers() == 0)
                 break;
             if (drainDeadline.expired()) {
-                for (auto &slot : slots) {
-                    if (slot.active) {
-                        slot.proc.killHard();
-                        slot.active = false;
+                for (ShardState &st : shard) {
+                    if (st.active) {
+                        st.proc.killHard();
+                        st.active = false;
                     }
                 }
                 break;
@@ -559,96 +473,35 @@ runShardedCampaign(const std::vector<SimJob> &jobs,
             continue;
         }
 
-        // A shard whose full key set went terminal (usually thanks
-        // to a helper) doesn't need its workers any more: ask them
-        // to drain so they stop burning duplicated work.
-        for (unsigned s = 0; s < shards; ++s) {
-            if (shard[s].done || shard[s].failed)
-                continue;
-            if (remainingKeys(s).empty()) {
-                shard[s].done = true;
-                for (auto &slot : slots) {
-                    if (slot.active && slot.shard == s)
-                        slot.proc.sendSignal(SIGTERM);
-                }
-                event(csprintf("shard %u: complete", s));
-            }
-        }
-
         // Restarts whose backoff expired.
         for (unsigned s = 0; s < shards; ++s) {
             ShardState &st = shard[s];
-            if (st.restartPending && now >= st.nextSpawnAt &&
-                !st.done && !st.failed) {
+            if (st.restartPending && now >= st.nextSpawnAt) {
                 st.restartPending = false;
-                ++result.restarts;
+                ++camp.workerRestarts;
                 flight.record(FlightEventType::Restart, 0,
                               csprintf("shard %u restart %u/%u", s,
                                        st.restarts,
                                        opts.maxRestarts));
                 event(csprintf("shard %u: restart %u/%u", s,
                                st.restarts, opts.maxRestarts));
-                spawnWorker(s, remainingKeys(s), 0);
+                spawnWorker(s);
                 if (publisher)
                     publisher->publish(makeSnapshot(false), true);
             }
         }
 
-        // Straggler re-dispatch: idle capacity goes to the slowest
-        // running shard's tail.
-        if (opts.redispatch && activeWorkers() < shards) {
-            unsigned straggler = shards;
-            std::size_t worst = 0;
-            for (unsigned s = 0; s < shards; ++s) {
-                if (shard[s].done || shard[s].failed ||
-                    shard[s].restartPending ||
-                    shard[s].helpers > 0) {
-                    continue;
-                }
-                bool has_worker = false;
-                for (const auto &slot : slots) {
-                    has_worker |= slot.active && slot.shard == s;
-                }
-                if (!has_worker)
-                    continue;
-                const std::size_t rem = remainingKeys(s).size();
-                if (rem >= kRedispatchMinKeys && rem > worst) {
-                    worst = rem;
-                    straggler = s;
-                }
-            }
-            if (straggler < shards) {
-                const std::vector<std::uint64_t> rem =
-                    remainingKeys(straggler);
-                const std::vector<std::uint64_t> tail(
-                    rem.begin() + rem.size() / 2, rem.end());
-                ++shard[straggler].helpers;
-                ++result.redispatches;
-                flight.record(
-                    FlightEventType::Redispatch, 0,
-                    csprintf("shard %u: %zu of %zu keys to helper",
-                             straggler, tail.size(), rem.size()));
-                event(csprintf("shard %u: re-dispatching %zu of %zu "
-                               "remaining keys to a helper",
-                               straggler, tail.size(), rem.size()));
-                spawnWorker(straggler, tail,
-                            shard[straggler].helpers);
-            }
-        }
-
-        // Termination: every shard settled and no worker running.
-        bool settled = true;
-        for (unsigned s = 0; s < shards; ++s) {
-            settled &= shard[s].done || shard[s].failed;
-        }
-        if (settled && activeWorkers() == 0)
+        // Termination: every shard done or out of restarts. A
+        // settled shard has no worker left running.
+        if (std::all_of(shard.begin(), shard.end(),
+                        [](const ShardState &st) {
+                            return st.done || st.failed;
+                        })) {
             break;
+        }
 
         std::this_thread::sleep_for(std::chrono::milliseconds(10));
     }
-
-    const bool interrupted =
-        interrupt->load(std::memory_order_relaxed);
 
     // ----------------------------------------------------------------
     // Merge: assemble the campaign report from the shard journals.
@@ -656,16 +509,15 @@ runShardedCampaign(const std::vector<SimJob> &jobs,
     // bytes match a single-process runCampaign() of the same jobs.
     // ----------------------------------------------------------------
     std::map<std::uint64_t, JournalRecord> merged;
-    std::size_t corrupted = 0, truncated = 0;
     for (const auto &path : listShardJournals(dir)) {
         const JournalReplay replay = loadJournalIfPresent(path);
-        corrupted += replay.corrupted;
-        truncated += replay.truncated;
+        camp.corruptedRecords += replay.corrupted;
+        camp.truncatedRecords += replay.truncated;
         for (const auto &rec : replay.records) {
             auto it = merged.find(rec.key);
-            // ok wins over non-ok (a helper may have completed a
-            // key whose primary record is failed); otherwise last
-            // write wins like within one journal.
+            // ok wins over non-ok (a resume with another shard count
+            // can leave one key's records in two journals);
+            // otherwise last write wins like within one journal.
             if (it == merged.end() ||
                 it->second.status != jobStatusName(JobStatus::Ok) ||
                 rec.status == jobStatusName(JobStatus::Ok)) {
@@ -674,69 +526,50 @@ runShardedCampaign(const std::vector<SimJob> &jobs,
         }
     }
 
-    CampaignResult &camp = result.campaign;
     camp.keys = keys;
     camp.outcomes.resize(jobs.size());
     camp.payloads.resize(jobs.size());
-    camp.corruptedRecords = corrupted;
-    camp.truncatedRecords = truncated;
-
-    // Which shard owns a key (for per-shard failure attribution).
-    std::map<std::uint64_t, unsigned> owner;
     for (unsigned s = 0; s < shards; ++s) {
-        for (std::uint64_t k : shard[s].keys)
-            owner[k] = s;
-    }
-
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-        JobOutcome &outcome = camp.outcomes[i];
-        const auto it = merged.find(keys[i]);
-        if (it == merged.end()) {
-            // Never reached a terminal record: resumable when the
-            // supervisor was interrupted, failed when its shard
-            // exhausted restarts.
-            const unsigned s = owner[keys[i]];
-            if (shard[s].failed) {
-                outcome.status = JobStatus::Failed;
-                outcome.error = shard[s].failReason;
-            } else {
-                outcome.status = JobStatus::Skipped;
-                outcome.error = "campaign interrupted";
-                outcome.attempts = 0;
+        for (std::size_t i : parts[s]) {
+            JobOutcome &outcome = camp.outcomes[i];
+            const auto it = merged.find(keys[i]);
+            if (it == merged.end()) {
+                // Never journaled: failed when its shard exhausted
+                // restarts, otherwise resumable (interrupted).
+                if (shard[s].failed) {
+                    outcome.status = JobStatus::Failed;
+                    outcome.error = shard[s].failReason;
+                } else {
+                    outcome.status = JobStatus::Skipped;
+                    outcome.error = "campaign interrupted";
+                    outcome.attempts = 0;
+                }
+                continue;
             }
-            continue;
-        }
-        JobStatus st;
-        if (!jobStatusFromName(it->second.status, st))
-            continue;
-        outcome.status = st;
-        if (st == JobStatus::Ok) {
-            camp.payloads[i] = it->second.payload;
-        } else {
-            // Recover the live error text so the merged report
-            // renders exactly what a single-process run would.
-            if (!parseErrorPayload(it->second.payload, outcome.error,
-                                   outcome.attempts)) {
+            JobStatus st{};
+            if (!jobStatusFromName(it->second.status, st))
+                continue;
+            outcome.status = st;
+            if (st == JobStatus::Ok) {
+                camp.payloads[i] = it->second.payload;
+            } else if (!parseErrorPayload(it->second.payload,
+                                          outcome.error,
+                                          outcome.attempts)) {
+                // Recover the live error text so the merged report
+                // renders exactly what a single-process run would.
                 outcome.error = "unparseable journal error record";
             }
         }
     }
 
+    // The single-process tallies and exit rule: jobs an ok record
+    // satisfied were replayed, the rest went to workers, and the
+    // campaign is interrupted exactly when the flag rose or a job is
+    // left resumable — so permanent failures exit 1.
     camp.replayed = replayedAtStart;
-    std::size_t terminalNow = 0;
-    for (const auto &o : camp.outcomes) {
-        terminalNow += o.status == JobStatus::Ok ||
-                       o.status == JobStatus::Failed ||
-                       o.status == JobStatus::TimedOut;
-    }
-    camp.executed = terminalNow - std::min(terminalNow,
-                                           replayedAtStart);
-    camp.interrupted = interrupted || !camp.complete();
-    for (unsigned s = 0; s < shards; ++s)
-        camp.interrupted |= !shard[s].done && !shard[s].failed;
-    camp.workerCrashes = result.crashes;
-    camp.workerRestarts = result.restarts;
-    camp.redispatches = result.redispatches;
+    camp.executed = jobs.size() - replayedAtStart;
+    camp.interrupted = interrupt->load(std::memory_order_relaxed) ||
+                       camp.tally().resumable > 0;
 
     atomicWriteFile(dir + "/report.json", camp.reportJson());
     drainFlushHooks();

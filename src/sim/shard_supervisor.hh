@@ -21,11 +21,14 @@
  *    is completion, an exit code is a reported error, a fatal signal
  *    (SIGSEGV, SIGKILL, ...) is a crash — and crashed or hung (no
  *    heartbeat) shards are restarted with bounded exponential
- *    backoff, resuming from their shard journal;
- *  - when a shard finishes early, the remaining keys of the slowest
- *    straggler are re-dispatched to a helper worker with its own
- *    journal (results are content-keyed and deterministic, so
- *    duplicated work merges harmlessly).
+ *    backoff, resuming from their shard journal.
+ *
+ * Every other rule is the single-process campaign's: only an ok
+ * record satisfies a job, so --resume reruns failed and timed-out
+ * jobs; the merged campaign is interrupted exactly when the
+ * interrupt flag rose or a job is left resumable, so permanent
+ * failures exit 1; and workers get the per-job knobs from the same
+ * flags the single-process campaign reads.
  *
  * The final merge assembles every shard journal into the same
  * report.json a single-process, uninterrupted runCampaign() of the
@@ -72,31 +75,22 @@ struct ShardSupervisorOptions
      *  supervisor itself is interrupted. */
     double drainSeconds = 5.0;
 
-    /** Straggler re-dispatch: when a worker slot is idle and a
-     *  running shard still has at least two keys remaining, the tail
-     *  half of its remaining keys is re-dispatched to a helper worker
-     *  (at most one per shard). */
-    bool redispatch = true;
-
-    /** Per-job knobs forwarded to workers. @{ */
-    double jobTimeoutSeconds = 0;
-    unsigned maxRetries = 0;
-    /** @} */
-
     /** Path of the binary to re-exec; empty means /proc/self/exe. */
     std::string exePath;
 
-    /** Matrix-defining arguments of the `campaign-worker`
-     *  subcommand (--workloads/--machine/--modes/--insns...). The
-     *  worker must rebuild the exact job matrix from these, so the
-     *  content keys it derives match the supervisor's. */
+    /** Arguments of the `campaign-worker` subcommand: the matrix
+     *  flags (--workloads/--machine/--modes/--insns...), from which
+     *  the worker must rebuild the exact job matrix so the content
+     *  keys it derives match the supervisor's, and the per-job knobs
+     *  (--timeout-seconds/--retries...), each written so it reads
+     *  back exactly. The supervisor appends only --journal. */
     std::vector<std::string> workerArgs;
 
     /** Interrupt flag; defaults to the process-wide campaign flag. */
     const std::atomic<bool> *interruptFlag = nullptr;
 
-    /** Supervision event log callback (spawn/crash/restart/
-     *  re-dispatch), for CLI progress output. */
+    /** Supervision event log callback (spawn/crash/restart), for
+     *  CLI progress output. */
     std::function<void(const std::string &)> onEvent;
 
     /** Publish live status to `dir`/status/ (statusboard.hh): the
@@ -110,23 +104,11 @@ struct ShardSupervisorOptions
 /** What a supervised campaign accomplished. */
 struct ShardSupervisorResult
 {
-    /** The merged campaign (report.json content, supervision tallies
-     *  in the summary fields). */
+    /** The merged campaign: report.json content, with the worker
+     *  crash and restart tallies in its summary fields. */
     CampaignResult campaign;
 
     std::size_t shards = 0;
-
-    /** Worker deaths classified as crashes (fatal signal, error
-     *  exit, or hung-and-SIGKILLed), restarts performed, and
-     *  straggler re-dispatches. @{ */
-    std::size_t crashes = 0;
-    std::size_t restarts = 0;
-    std::size_t redispatches = 0;
-    /** @} */
-
-    /** One classified line per worker death ("shard 2: signal 11
-     *  (Segmentation fault)"). */
-    std::vector<std::string> crashLog;
 
     /** Supervisor wall-clock (monotonic) for BENCH accounting. */
     double wallSeconds = 0;
@@ -144,19 +126,17 @@ std::vector<std::vector<std::size_t>>
 partitionByKeyRange(const std::vector<std::uint64_t> &keys,
                     unsigned shards);
 
-/** Journal path of shard `shard` in `dir`; helper > 0 names the
- *  journal of that re-dispatch helper instead. */
-std::string shardJournalPath(const std::string &dir, unsigned shard,
-                             unsigned helper = 0);
+/** Journal path of shard `shard` in `dir`. */
+std::string shardJournalPath(const std::string &dir, unsigned shard);
 
 /**
  * Run (or resume) a campaign across worker processes.
  *
  * Creates `dir`, partitions `jobs` by content-key range, forks one
  * `campaign-worker` per shard and supervises them to completion
- * (restart on crash/hang, straggler re-dispatch), then merges the
- * shard journals into `dir`/report.json — byte-identical to a
- * single-process runCampaign() of the same jobs.
+ * (restart on crash/hang), then merges the shard journals into
+ * `dir`/report.json — byte-identical to a single-process
+ * runCampaign() of the same jobs.
  */
 ShardSupervisorResult
 runShardedCampaign(const std::vector<SimJob> &jobs,

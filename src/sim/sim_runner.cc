@@ -204,10 +204,9 @@ RunnerReport::toString() const
         if (backoffSeconds > 0)
             s += csprintf(", %.3fs backoff", backoffSeconds);
     }
-    if (workerCrashes + workerRestarts + redispatches > 0) {
-        s += csprintf("; supervisor: %zu worker crashes, %zu "
-                      "restarts, %zu re-dispatches",
-                      workerCrashes, workerRestarts, redispatches);
+    if (workerCrashes + workerRestarts > 0) {
+        s += csprintf("; supervisor: %zu worker crashes, %zu restarts",
+                      workerCrashes, workerRestarts);
     }
     if (translationCacheHits + translationCacheMisses > 0) {
         s += csprintf("; trans-meta cache: %llu hits, %llu misses",
@@ -257,10 +256,9 @@ RunnerReport::toJson(const std::string &name) const
         if (backoffSeconds > 0)
             s += csprintf(",\"backoff_seconds\":%.6f", backoffSeconds);
     }
-    if (workerCrashes + workerRestarts + redispatches > 0) {
-        s += csprintf(",\"worker_crashes\":%zu,"
-                      "\"worker_restarts\":%zu,\"redispatches\":%zu",
-                      workerCrashes, workerRestarts, redispatches);
+    if (workerCrashes + workerRestarts > 0) {
+        s += csprintf(",\"worker_crashes\":%zu,\"worker_restarts\":%zu",
+                      workerCrashes, workerRestarts);
     }
     if (translationCacheHits + translationCacheMisses > 0) {
         s += csprintf(",\"translation_cache_hits\":%llu,"

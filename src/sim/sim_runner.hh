@@ -229,12 +229,11 @@ struct RunnerReport
     /** @} */
 
     /** Shard-supervision tallies (sharded campaigns only): worker
-     *  processes that crashed or hung, restarts performed, straggler
-     *  re-dispatches. Rendered only when non-zero, keeping reports
-     *  from in-process runs byte-identical. @{ */
+     *  processes that crashed or hung, and restarts performed.
+     *  Rendered only when non-zero, keeping reports from in-process
+     *  runs byte-identical. @{ */
     std::size_t workerCrashes = 0;
     std::size_t workerRestarts = 0;
-    std::size_t redispatches = 0;
     /** @} */
 
     /** Translation-metadata cache traffic (bt/translation_cache.hh)

@@ -236,10 +236,10 @@ StatusSnapshot::toJson() const
             const ShardStatus &sh = shards[i];
             s += csprintf(
                 "%s{\"shard\":%u,\"total\":%zu,\"done\":%zu,"
-                "\"restarts\":%u,\"helpers\":%u,\"active\":%s,"
+                "\"restarts\":%u,\"active\":%s,"
                 "\"heartbeat_age_seconds\":%s,\"failed\":%s}",
                 i ? "," : "", sh.shard, sh.total, sh.done,
-                sh.restarts, sh.helpers, sh.active ? "true" : "false",
+                sh.restarts, sh.active ? "true" : "false",
                 fmtDouble(sh.heartbeatAgeSeconds).c_str(),
                 sh.failed ? "true" : "false");
         }
@@ -324,8 +324,6 @@ StatusSnapshot::fromJson(const std::string &text, StatusSnapshot &out)
             sh.done = v.getUint64("done");
             sh.restarts =
                 static_cast<unsigned>(v.getUint64("restarts"));
-            sh.helpers =
-                static_cast<unsigned>(v.getUint64("helpers"));
             sh.active = v.getBool("active");
             sh.heartbeatAgeSeconds =
                 v.getDouble("heartbeat_age_seconds", -1);
@@ -500,9 +498,8 @@ renderStatusTable(const std::vector<StatusEntry> &entries)
         for (const ShardStatus &sh : s.shards) {
             out += csprintf(
                 "%-14s   shard %04u %zu/%zu done, %u restart(s), "
-                "%u helper(s), %s%s\n",
+                "%s%s\n",
                 "", sh.shard, sh.done, sh.total, sh.restarts,
-                sh.helpers,
                 sh.failed ? "FAILED"
                           : (sh.active ? "active" : "idle"),
                 sh.active && sh.heartbeatAgeSeconds >= 0

@@ -49,7 +49,6 @@ struct ShardStatus
     std::size_t total = 0;     ///< Keys the shard owns.
     std::size_t done = 0;      ///< Keys with terminal records.
     unsigned restarts = 0;
-    unsigned helpers = 0;      ///< Re-dispatch helpers spawned.
     bool active = false;       ///< A worker process is running.
     double heartbeatAgeSeconds = -1; ///< Since last output; -1 n/a.
     bool failed = false;       ///< Restart budget exhausted.
@@ -136,7 +135,7 @@ struct StatusSnapshot
      *  "shard-worker", or "server" (powerchopd). */
     std::string role;
 
-    /** Display name ("campaign", "shard-0000", "shard-0001h1"). */
+    /** Display name ("campaign", "shard-0000", ...). */
     std::string label;
 
     int pid = 0;

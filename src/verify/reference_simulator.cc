@@ -23,8 +23,8 @@ referenceSimulate(const MachineConfig &machine,
     // --- The reference loop --------------------------------------------
     // Strictly one instruction per iteration. Block heads are found by
     // asking the generator, the sampler fires from an explicit modulo,
-    // and the MLC access counter is re-dispatched on the live policy
-    // at every access, instead of being batched, counted down or
+    // and the MLC access counter is picked from the live policy at
+    // every access, instead of being batched, counted down or
     // cached.
     const InsnCount max_insns = opts.maxInstructions;
     const std::atomic<bool> *cancel = opts.cancelFlag;

@@ -15,7 +15,7 @@
  *    with atBlockHead();
  *  - the sampler: a countdown there, an explicit modulo here;
  *  - the per-policy MLC access counter: simulate() caches its
- *    destination per MLC policy epoch, the reference re-dispatches on
+ *    destination per MLC policy epoch, the reference picks it from
  *    the controller's live policy at every access;
  *  - cancellation polling and its messages;
  *  - translation metadata: only simulate() uses

@@ -304,7 +304,6 @@ fullSnapshot()
     sh.total = 20;
     sh.done = 12;
     sh.restarts = 2;
-    sh.helpers = 1;
     sh.active = true;
     sh.heartbeatAgeSeconds = 0.75;
     s.shards = {sh};
@@ -343,7 +342,6 @@ TEST(Statusboard, SnapshotJsonRoundTrip)
     ASSERT_EQ(r.shards.size(), 1u);
     EXPECT_EQ(r.shards[0].shard, 1u);
     EXPECT_EQ(r.shards[0].done, 12u);
-    EXPECT_EQ(r.shards[0].helpers, 1u);
     EXPECT_TRUE(r.shards[0].active);
     EXPECT_NEAR(r.shards[0].heartbeatAgeSeconds, 0.75, 1e-6);
 }
@@ -375,7 +373,6 @@ TEST(Statusboard, RenderersKeepTheirBytes)
     r.backoffSeconds = 0.375;
     r.workerCrashes = 1;
     r.workerRestarts = 2;
-    r.redispatches = 3;
     r.translationCacheHits = 11;
     r.translationCacheMisses = 4;
     r.stages = {{"simulate", 1.5, 3}, {"translate", 0.25, 3}};
@@ -390,7 +387,7 @@ TEST(Statusboard, RenderersKeepTheirBytes)
         "\"failed_jobs\":1,\"timed_out_jobs\":1,\"degraded_jobs\":1,"
         "\"retries\":2,\"skipped_jobs\":1,\"interrupted_jobs\":2,"
         "\"backoff_seconds\":0.375000,\"worker_crashes\":1,"
-        "\"worker_restarts\":2,\"redispatches\":3,"
+        "\"worker_restarts\":2,"
         "\"translation_cache_hits\":11,"
         "\"translation_cache_misses\":4,\"stages\":{\"simulate\":"
         "{\"seconds\":1.500000,\"count\":3},\"translate\":"
@@ -402,7 +399,7 @@ TEST(Statusboard, RenderersKeepTheirBytes)
               "5.60 jobs/s, 1.60x vs 1 thread; robust: 5 ok, 1 failed, "
               "1 timed out, 1 degraded, 2 retries, 1 skipped, 2 "
               "interrupted, 0.375s backoff; supervisor: 1 worker "
-              "crashes, 2 restarts, 3 re-dispatches; trans-meta cache: "
+              "crashes, 2 restarts; trans-meta cache: "
               "11 hits, 4 misses; stages: simulate=1.50s/3 "
               "translate=0.25s/3; task latency ms: p50=2.097 "
               "p90=13.422 p99=16.442");
@@ -429,7 +426,7 @@ TEST(Statusboard, RenderersKeepTheirBytes)
         "\"stages\":[{\"name\":\"simulate\",\"seconds\":1.250000,"
         "\"count\":10},{\"name\":\"translate\",\"seconds\":0.500000,"
         "\"count\":10}],\"shards\":[{\"shard\":1,\"total\":20,"
-        "\"done\":12,\"restarts\":2,\"helpers\":1,\"active\":true,"
+        "\"done\":12,\"restarts\":2,\"active\":true,"
         "\"heartbeat_age_seconds\":0.750000,\"failed\":false}]}");
 }
 

@@ -4,7 +4,8 @@
  * key-range partitioning, the shard worker run loop, and end-to-end
  * supervision through the real CLI binary — crash containment
  * (SIGSEGV / SIGKILL of workers mid-run), restart-with-backoff,
- * resume, and the byte-identical merged report guarantee.
+ * resume, the byte-identical merged report guarantee, and the
+ * single-process campaign's exit, resume and counting rules.
  *
  * The end-to-end tests re-exec the installed CLI
  * (POWERCHOP_CLI_PATH, injected by CMake) exactly the way a user
@@ -220,8 +221,6 @@ TEST(Partition, ShardJournalPathsAreDistinct)
 {
     EXPECT_EQ(shardJournalPath("d", 0), "d/shard-0000.jsonl");
     EXPECT_EQ(shardJournalPath("d", 3), "d/shard-0003.jsonl");
-    EXPECT_EQ(shardJournalPath("d", 3, 1), "d/shard-0003h1.jsonl");
-    EXPECT_NE(shardJournalPath("d", 1), shardJournalPath("d", 1, 1));
 }
 
 // ---------------------------------------------------------------------
@@ -495,6 +494,111 @@ TEST(ShardedCampaign, DirtyDirectoryRefusedAcrossLayouts)
     const ExitStatus st = runCli(mixed);
     EXPECT_EQ(st.kind, ExitStatus::Kind::Exited);
     EXPECT_NE(st.exitCode, 0);
+}
+
+// ---------------------------------------------------------------------
+// A sharded run follows the single-process campaign's rules
+// ---------------------------------------------------------------------
+
+/** A campaign of perlbench and namd on both machines in all five
+ *  modes (20 jobs of 2M instructions) whose jobs all outlive
+ *  `timeoutSeconds`. */
+std::vector<std::string>
+timedOutArgs(const std::string &dir, const char *timeoutSeconds)
+{
+    return {"campaign", dir, "--workloads", "perlbench,namd",
+            "--insns", "2000000", "--timeout-seconds", timeoutSeconds};
+}
+
+/** A report's first line: its "campaign" counts. The error texts
+ *  after it carry a timing-dependent instruction count. */
+std::string
+countsLine(const std::string &dir)
+{
+    const std::string report = readFile(dir + "/report.json");
+    return report.substr(0, report.find('\n'));
+}
+
+TEST(ShardedCampaign, WorkersGetTheJobTimeoutExactly)
+{
+    // 0.0004 s must reach the workers as written: rounded to 0 it
+    // would switch their watchdog off and every job would finish.
+    const std::string ref = freshDir("timeout-ref");
+    EXPECT_EQ(runCli(timedOutArgs(ref, "0.0004")).describe(), "exit 1");
+    EXPECT_EQ(countsLine(ref),
+              "{\"campaign\":{\"jobs\":20,\"ok\":0,\"failed\":0,"
+              "\"timed_out\":20,\"resumable\":0},");
+
+    std::vector<std::string> args =
+        timedOutArgs(freshDir("timeout-sharded"), "0.0004");
+    args.insert(args.end(), {"--shards", "2"});
+    EXPECT_EQ(runCli(args).describe(), "exit 1");
+    EXPECT_EQ(countsLine(args[1]), countsLine(ref));
+}
+
+TEST(ShardedCampaign, PermanentFailuresExitOneAndRerunOnResume)
+{
+    // Jobs that time out for good are permanent failures, as in one
+    // process: exit 1 with nothing to resume, and --resume reruns
+    // them, since only an ok record satisfies a job.
+    std::vector<std::string> args =
+        timedOutArgs(freshDir("failed-sharded"), "0.001");
+    args.insert(args.end(), {"--shards", "2"});
+    std::string out;
+    EXPECT_EQ(runCli(args, {}, &out).describe(), "exit 1") << out;
+    EXPECT_EQ(out.find("[interrupted"), std::string::npos) << out;
+
+    args.push_back("--resume");
+    EXPECT_EQ(runCli(args, {}, &out).describe(), "exit 1") << out;
+    EXPECT_NE(out.find("20 jobs: 0 replayed from journal, 20 executed"),
+              std::string::npos)
+        << out;
+    EXPECT_EQ(out.find("[interrupted"), std::string::npos) << out;
+}
+
+TEST(ShardedCampaign, CountsEveryJobOnce)
+{
+    // Resuming a complete run replays every job: the supervisor's
+    // snapshot counts them as ok, so done = ok + failed holds.
+    const std::string specs = freshDir("counts-specs");
+    const auto files = writeSpecs(specs, 3);
+    std::vector<std::string> args =
+        campaignArgs(freshDir("counts-run"), files);
+    const std::string dir = args[1];
+    args.insert(args.end(), {"--shards", "2"});
+    ASSERT_TRUE(runCli(args).exitedOk());
+    args.push_back("--resume");
+    ASSERT_TRUE(runCli(args).exitedOk());
+    StatusSnapshot snap;
+    ASSERT_TRUE(StatusSnapshot::fromJson(
+        readFile(campaignStatusPath(dir)), snap));
+    EXPECT_EQ(snap.jobsDone, 6u);
+    EXPECT_EQ(snap.jobsOk, 6u);
+    EXPECT_EQ(snap.jobsFailed, 0u);
+
+    // The BENCH entry tallies the report's columns, so an all-timed-
+    // out run's entry says so and its tallies sum to the job count.
+    const std::string bench_dir = freshDir("counts-bench");
+    makeCampaignDirs(bench_dir);
+    const std::string bench = bench_dir + "/BENCH_runner.json";
+    std::vector<std::string> timed_out =
+        timedOutArgs(freshDir("counts-timed-out"), "0.0004");
+    timed_out.insert(timed_out.end(), {"--shards", "2"});
+    EXPECT_EQ(
+        runCli(timed_out, {"POWERCHOP_RUNNER_JSON=" + bench}).describe(),
+        "exit 1");
+    json::Value doc;
+    ASSERT_TRUE(json::parse(readFile(bench), doc));
+    ASSERT_TRUE(doc.isArray() && !doc.elements().empty());
+    const json::Value &entry = doc.elements().back();
+    EXPECT_EQ(entry.getString("bench"), "campaign-shards");
+    EXPECT_EQ(entry.getUint64("jobs"), 20u);
+    EXPECT_EQ(entry.getUint64("timed_out_jobs"), 20u);
+    EXPECT_EQ(entry.getUint64("ok_jobs") + entry.getUint64("failed_jobs") +
+                  entry.getUint64("timed_out_jobs") +
+                  entry.getUint64("skipped_jobs") +
+                  entry.getUint64("interrupted_jobs"),
+              20u);
 }
 
 TEST(ShardedCampaign, WorkerRebuildsMatrixFromForwardedFlags)

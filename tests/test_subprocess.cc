@@ -202,9 +202,8 @@ TEST(Subprocess, LargeBatchToSlowReaderIsDeliveredIntact)
 
 TEST(Subprocess, WaitTimeoutLeavesChildRunning)
 {
-    // wait() never kills on timeout: whether a survivor is a
-    // straggler to re-dispatch or a hang to SIGKILL is the
-    // supervisor's call.
+    // wait() never kills on timeout: whether a survivor is a hang
+    // to SIGKILL is the supervisor's call.
     Subprocess p;
     p.spawn(shell("exec sleep 30"));
     const double t0 = monotonicSeconds();

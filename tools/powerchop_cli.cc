@@ -21,10 +21,9 @@
  *                                1 = permanent failures.
  *                                --shards N forks N campaign-worker
  *                                processes supervised for crash
- *                                containment (restart with backoff,
- *                                straggler re-dispatch); the merged
- *                                report.json is byte-identical to a
- *                                single-process run.
+ *                                containment (restart with backoff);
+ *                                the merged report.json and the exit
+ *                                status match a single-process run.
  *   campaign-worker <dir> ...    Internal: one shard of a sharded
  *                                campaign. Reads assigned content
  *                                keys from stdin, journals to
@@ -80,20 +79,14 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cctype>
-#include <cerrno>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <limits>
 #include <mutex>
 #include <optional>
-#include <stdexcept>
 #include <string>
 #include <thread>
-#include <type_traits>
 #include <vector>
 
 #include <csignal>
@@ -131,7 +124,7 @@ usage()
         "      [--modes m1,m2] [--insns N] [--resume] [--inspect]\n"
         "      [--timeout-seconds S] [--drain-seconds S]\n"
         "      [--retries N] [--shards N] [--max-restarts N]\n"
-        "      [--heartbeat-seconds S] [--no-redispatch]\n"
+        "      [--heartbeat-seconds S]\n"
         "  campaign-worker <dir> --journal PATH [matrix options]\n"
         "      (internal: one shard of `campaign --shards`; reads\n"
         "      assigned content keys from stdin, one 16-hex line\n"
@@ -161,58 +154,6 @@ usage()
         "any subcommand accepts --profile (stage wall-clock table,\n"
         "same as POWERCHOP_PROFILE=1)\n");
     return 2;
-}
-
-/** Report a bad flag/subcommand: usage text on stderr, exit 2. */
-class UsageError : public std::runtime_error
-{
-  public:
-    explicit UsageError(const std::string &msg)
-        : std::runtime_error(msg)
-    {
-    }
-};
-
-/**
- * A numeric flag. The whole value must parse — as a plain decimal
- * integer for an integral T, as a finite number otherwise — and lie
- * in [lo, hi], otherwise it is a usage error.
- */
-template <typename T>
-T
-parseNumber(const char *flag, const std::string &text, T lo = 0,
-            T hi = std::numeric_limits<T>::max())
-{
-    const char *s = text.c_str();
-    char *end = nullptr;
-    T v{};
-    bool ok = false;
-    if constexpr (std::is_integral_v<T>) {
-        // strtoull() skips blanks and wraps a leading '-' around, so
-        // only a value that starts with a digit can be an integer.
-        errno = 0;
-        const unsigned long long u = std::strtoull(s, &end, 10);
-        ok = std::isdigit(static_cast<unsigned char>(s[0])) &&
-             errno == 0 && u >= static_cast<unsigned long long>(lo) &&
-             u <= static_cast<unsigned long long>(hi);
-        v = static_cast<T>(u);
-    } else {
-        v = std::strtod(s, &end);
-        ok = std::isfinite(v) && v >= lo && v <= hi;
-    }
-    if (!ok || text.empty() || end != s + text.size()) {
-        auto show = [](T x) {
-            if constexpr (std::is_integral_v<T>)
-                return std::to_string(x);
-            else
-                return csprintf("%g", x);
-        };
-        throw UsageError(csprintf(
-            "%s wants %s in [%s, %s], got '%s'", flag,
-            std::is_integral_v<T> ? "an integer" : "a number",
-            show(lo).c_str(), show(hi).c_str(), text.c_str()));
-    }
-    return v;
 }
 
 WorkloadSpec
@@ -271,7 +212,6 @@ struct Args
     unsigned shards = 0; ///< 0 = in-process (unsharded) campaign.
     unsigned maxRestarts = 3;
     double heartbeatSeconds = 30.0;
-    bool redispatch = true;
     std::string journal; ///< Shard journal (campaign-worker).
     /** @} */
 
@@ -369,8 +309,6 @@ parseOptions(const std::vector<std::string> &rest)
                                                   need("--max-restarts"));
         else if (rest[i] == "--heartbeat-seconds")
             a.heartbeatSeconds = seconds("--heartbeat-seconds");
-        else if (rest[i] == "--no-redispatch")
-            a.redispatch = false;
         else if (rest[i] == "--journal")
             a.journal = need("--journal");
         else if (rest[i] == "--follow")
@@ -805,8 +743,9 @@ cmdVerify(const Args &a)
     return (report.ok() && golden_ok) ? 0 : 1;
 }
 
-/** The matrix-defining flags to forward to campaign-worker
- *  processes, so they rebuild exactly the supervisor's job list. */
+/** The flags to forward to campaign-worker processes: the matrix
+ *  flags, so they rebuild exactly the supervisor's job list, and the
+ *  per-job knobs, each written so it reads back exactly. */
 std::vector<std::string>
 matrixWorkerArgs(const Args &a)
 {
@@ -834,6 +773,14 @@ matrixWorkerArgs(const Args &a)
     if (a.timeout != 0) {
         args.push_back("--timeout");
         args.push_back(csprintf("%.17g", a.timeout));
+    }
+    if (a.timeoutSeconds != 0) {
+        args.push_back("--timeout-seconds");
+        args.push_back(csprintf("%.17g", a.timeoutSeconds));
+    }
+    if (a.retries != 0) {
+        args.push_back("--retries");
+        args.push_back(csprintf("%u", a.retries));
     }
     if (a.drainSeconds != 5.0) {
         args.push_back("--drain-seconds");
@@ -998,6 +945,19 @@ cmdClient(const Args &a)
     return 0;
 }
 
+/** Print a campaign's summary and report path and return its exit
+ *  status, the same for single-process and sharded runs: 3 when
+ *  interrupted (resumable), 1 on permanent failures, 0 complete. */
+int
+finishCampaign(const std::string &dir, const CampaignResult &res)
+{
+    std::printf("campaign: %s\n", res.summary().c_str());
+    std::printf("report: %s/report.json\n", dir.c_str());
+    if (res.interrupted)
+        return campaignInterruptedExitStatus;
+    return res.complete() ? 0 : 1;
+}
+
 int
 cmdShardedCampaign(const std::string &dir, const Args &a)
 {
@@ -1009,18 +969,15 @@ cmdShardedCampaign(const std::string &dir, const Args &a)
     sopts.maxRestarts = a.maxRestarts;
     sopts.heartbeatTimeoutSeconds = a.heartbeatSeconds;
     sopts.drainSeconds = a.drainSeconds;
-    sopts.redispatch = a.redispatch;
-    sopts.jobTimeoutSeconds = a.timeoutSeconds;
-    sopts.maxRetries = a.retries;
     sopts.workerArgs = matrixWorkerArgs(a);
     sopts.publishStatus = statusboardEnabled();
     if (flightRecorderEnabled())
         FlightRecorder::global().enable(dir + "/flight.jsonl");
     sopts.onEvent = [](const std::string &msg) {
-        // Supervision events (spawn/crash/restart/redispatch) are the
-        // campaign's operational log; the limiter caps a crash-
-        // restart storm while the generous burst keeps every event of
-        // a normal run printed.
+        // Supervision events (spawn/crash/restart) are the campaign's
+        // operational log; the limiter caps a crash-restart storm
+        // while the generous burst keeps every event of a normal run
+        // printed.
         static LogRateLimiter limiter(20.0, 60.0);
         informLimited(limiter, "[supervisor] %s", msg.c_str());
     };
@@ -1028,34 +985,28 @@ cmdShardedCampaign(const std::string &dir, const Args &a)
     const ShardSupervisorResult res =
         runShardedCampaign(buildCampaignJobs(a), dir, sopts);
 
-    std::printf("campaign: %s\n", res.campaign.summary().c_str());
-    std::printf("report: %s/report.json\n", dir.c_str());
-
     // The supervision trajectory rides the same BENCH file the
     // runner benches append to, so crash/restart counts are tracked
-    // across changes alongside throughput.
+    // across changes alongside throughput. Its tallies are the
+    // report's columns, so they sum to the job count.
+    const CampaignResult &camp = res.campaign;
+    const OutcomeTally n = camp.tally();
     RunnerReport rep;
-    rep.jobs = res.campaign.keys.size();
+    rep.jobs = camp.keys.size();
     rep.threads = static_cast<unsigned>(res.shards);
     rep.wallSeconds = res.wallSeconds;
-    rep.okJobs = res.campaign.keys.size();
-    for (const auto &o : res.campaign.outcomes)
-        rep.okJobs -= o.status != JobStatus::Ok;
-    rep.failedJobs = 0;
-    for (const auto &o : res.campaign.outcomes)
-        rep.failedJobs += o.status == JobStatus::Failed;
-    rep.workerCrashes = res.crashes;
-    rep.workerRestarts = res.restarts;
-    rep.redispatches = res.redispatches;
+    rep.okJobs = n.ok;
+    rep.failedJobs = n.failed;
+    rep.timedOutJobs = n.timedOut;
+    rep.skippedJobs = n.resumable;
+    rep.workerCrashes = camp.workerCrashes;
+    rep.workerRestarts = camp.workerRestarts;
     const std::string bench_path =
         envString("POWERCHOP_RUNNER_JSON")
             .value_or("BENCH_runner.json");
     appendJsonArrayEntryOk(bench_path,
                            rep.toJson("campaign-shards"));
-
-    if (res.campaign.interrupted)
-        return campaignInterruptedExitStatus;
-    return res.campaign.complete() ? 0 : 1;
+    return finishCampaign(dir, camp);
 }
 
 int
@@ -1243,12 +1194,7 @@ cmdCampaign(const std::string &dir, const Args &a)
                           jobs.size());
     };
 
-    const CampaignResult res = runCampaign(runner, jobs, dir, copts);
-    std::printf("campaign: %s\n", res.summary().c_str());
-    std::printf("report: %s/report.json\n", dir.c_str());
-    if (res.interrupted)
-        return campaignInterruptedExitStatus;
-    return res.complete() ? 0 : 1;
+    return finishCampaign(dir, runCampaign(runner, jobs, dir, copts));
 }
 
 } // namespace
