@@ -61,7 +61,6 @@
 #include "core/pvt.hh"
 #include "core/qos_watchdog.hh"
 #include "core/signature.hh"
-#include "core/timeout_gater.hh"
 
 #include "power/accumulator.hh"
 #include "power/cacti_lite.hh"

@@ -15,7 +15,6 @@
 #include "core/gating_controller.hh"
 #include "core/powerchop_unit.hh"
 #include "core/drowsy_mlc.hh"
-#include "core/timeout_gater.hh"
 #include "power/core_power_model.hh"
 #include "telemetry/trace.hh"
 #include "uarch/bpu_complex.hh"
@@ -25,6 +24,25 @@
 
 namespace powerchop
 {
+
+/**
+ * The hardware-only idle-timeout baseline of Section V-E (TimeoutVpu
+ * mode): the VPU is gated off once it has been idle this many cycles
+ * and gated back on by the next SIMD op. The paper sweeps the period
+ * from 100 to 100K cycles and picks 20K, the best saving under a 5%
+ * worst-case slowdown bound.
+ */
+struct TimeoutParams
+{
+    /** Idle cycles before the VPU is gated off. */
+    double timeoutCycles = 20000.0;
+
+    /** Gate-on/off switch latency (same as PowerChop's VPU). */
+    double switchCycles = 30.0;
+
+    /** Register file save/restore per transition. */
+    double saveRestoreCycles = 500.0;
+};
 
 /** A complete machine design point. */
 struct MachineConfig

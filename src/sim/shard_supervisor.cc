@@ -9,8 +9,10 @@
 #include <map>
 #include <memory>
 #include <numeric>
+#include <set>
 #include <thread>
 
+#include <sys/resource.h>
 #include <unistd.h>
 
 #include "common/atomic_file.hh"
@@ -70,6 +72,35 @@ listShardJournals(const std::string &dir)
     return out;
 }
 
+/** Keys with an ok record in any of `journals`. Only an ok record
+ *  satisfies a job, as in a single-process campaign, so failed and
+ *  timed-out jobs rerun on resume. */
+std::set<std::uint64_t>
+okKeys(const std::vector<std::string> &journals)
+{
+    std::set<std::uint64_t> ok;
+    for (const std::string &path : journals) {
+        for (const JournalRecord &rec :
+             loadJournalIfPresent(path).records) {
+            if (rec.status == jobStatusName(JobStatus::Ok))
+                ok.insert(rec.key);
+        }
+    }
+    return ok;
+}
+
+/** User + system CPU seconds of every reaped child process. */
+double
+childCpuSeconds()
+{
+    struct rusage ru {};
+    ::getrusage(RUSAGE_CHILDREN, &ru);
+    const auto secs = [](const timeval &tv) {
+        return tv.tv_sec + tv.tv_usec * 1e-6;
+    };
+    return secs(ru.ru_utime) + secs(ru.ru_stime);
+}
+
 /** Bounded exponential restart backoff (monotonic seconds). */
 double
 restartBackoff(unsigned restarts)
@@ -86,8 +117,8 @@ restartBackoff(unsigned restarts)
  *  process included. */
 struct ShardState
 {
-    std::vector<std::uint64_t> keys; ///< Assigned keys (sorted).
-    /** Settled keys: ok records in the shard journal, and the jobs
+    std::vector<std::uint64_t> keys; ///< Assigned keys (ascending).
+    /** Settled keys: ok records in the shard journals, and the jobs
      *  this run's workers reported ok, failed or timed out. */
     std::map<std::uint64_t, JobStatus> settled;
     Subprocess proc;         ///< The worker, while `active`.
@@ -141,6 +172,7 @@ runShardedCampaign(const std::vector<SimJob> &jobs,
                    const ShardSupervisorOptions &opts)
 {
     const double t0 = monotonicSeconds();
+    const double cpu0 = childCpuSeconds();
     ShardSupervisorResult result;
     CampaignResult &camp = result.campaign;
 
@@ -177,28 +209,25 @@ runShardedCampaign(const std::vector<SimJob> &jobs,
     for (unsigned s = 0; s < shards; ++s) {
         for (std::size_t idx : parts[s])
             shard[s].keys.push_back(keys[idx]);
-        std::sort(shard[s].keys.begin(), shard[s].keys.end());
     }
 
-    // The single-process replay rule: only an ok record in the
-    // shard's journal satisfies a job, so failed and timed-out jobs
-    // rerun on resume.
-    const auto settleOkRecords = [&](unsigned s) {
+    const auto settle = [&](unsigned s,
+                            const std::set<std::uint64_t> &ok) {
         ShardState &st = shard[s];
-        const JournalReplay replay =
-            loadJournalIfPresent(shardJournalPath(dir, s));
-        for (const JournalRecord &rec : replay.records) {
-            if (rec.status == jobStatusName(JobStatus::Ok) &&
-                std::binary_search(st.keys.begin(), st.keys.end(),
-                                   rec.key)) {
-                st.settled.emplace(rec.key, JobStatus::Ok);
-            }
+        for (std::uint64_t k : st.keys) {
+            if (ok.count(k))
+                st.settled.emplace(k, JobStatus::Ok);
         }
     };
 
+    // At start every shard journal in the directory counts: a resume
+    // with another shard count finds a job's ok record in the journal
+    // of the shard that owned it before.
+    const std::set<std::uint64_t> okAtStart =
+        okKeys(listShardJournals(dir));
     std::size_t replayedAtStart = 0;
     for (unsigned s = 0; s < shards; ++s) {
-        settleOkRecords(s);
+        settle(s, okAtStart);
         replayedAtStart += shard[s].settled.size();
         shard[s].done = shard[s].settled.size() == shard[s].keys.size();
     }
@@ -379,7 +408,7 @@ runShardedCampaign(const std::vector<SimJob> &jobs,
             // Death: the journal, not the exit status, is the truth
             // about what completed.
             st.active = false;
-            settleOkRecords(s);
+            settle(s, okKeys({shardJournalPath(dir, s)}));
             const std::size_t rem = st.keys.size() - st.settled.size();
             if (rem == 0) {
                 st.done = true;
@@ -570,6 +599,11 @@ runShardedCampaign(const std::vector<SimJob> &jobs,
     camp.executed = jobs.size() - replayedAtStart;
     camp.interrupted = interrupt->load(std::memory_order_relaxed) ||
                        camp.tally().resumable > 0;
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+        if (camp.outcomes[i].status == JobStatus::Ok &&
+            !okAtStart.count(keys[i]))
+            result.instructions += jobs[i].opts.maxInstructions;
+    }
 
     atomicWriteFile(dir + "/report.json", camp.reportJson());
     drainFlushHooks();
@@ -580,6 +614,7 @@ runShardedCampaign(const std::vector<SimJob> &jobs,
         publisher->publish(makeSnapshot(true), true);
 
     result.wallSeconds = monotonicSeconds() - t0;
+    result.busySeconds = childCpuSeconds() - cpu0;
     return result;
 }
 

@@ -110,8 +110,14 @@ struct ShardSupervisorResult
 
     std::size_t shards = 0;
 
-    /** Supervisor wall-clock (monotonic) for BENCH accounting. */
+    /** BENCH accounting: supervisor wall-clock (monotonic), the CPU
+     *  time of the workers it reaped, and the guest instructions of
+     *  the jobs that finished ok in this run (replayed jobs excluded;
+     *  an ok job simulates exactly its budget). @{ */
     double wallSeconds = 0;
+    double busySeconds = 0;
+    InsnCount instructions = 0;
+    /** @} */
 };
 
 /**

@@ -3,6 +3,24 @@
 namespace powerchop
 {
 
+namespace
+{
+
+/** The controller's transition costs: in TimeoutVpu mode the VPU
+ *  switches at the timeout baseline's costs. */
+GatingPenalties
+controllerPenalties(const MachineConfig &machine, SimMode mode)
+{
+    GatingPenalties p = machine.penalties;
+    if (mode == SimMode::TimeoutVpu) {
+        p.vpuSwitchCycles = machine.timeout.switchCycles;
+        p.vpuSaveRestoreCycles = machine.timeout.saveRestoreCycles;
+    }
+    return p;
+}
+
+} // namespace
+
 SimMachine::SimMachine(const MachineConfig &machine,
                        const WorkloadSpec &workload,
                        const SimOptions &opts)
@@ -14,19 +32,16 @@ SimMachine::SimMachine(const MachineConfig &machine,
       gen_(workload), bt_(gen_.program(), machine.bt),
       bpu_(machine.bpu), mem_(machine.l1, machine.mlc),
       vpu_(machine.vpu),
-      controller_(vpu_, bpu_, mem_, machine.penalties),
+      controller_(vpu_, bpu_, mem_,
+                  controllerPenalties(machine, opts.mode)),
       monitor_(bpu_, mem_),
       pchop_(machine.powerChop, controller_, bt_.nucleus(), monitor_),
       injector_(machine.faults),
-      timeout_(vpu_,
-               [&] {
-                   TimeoutParams p = machine.timeout;
-                   if (opts.timeoutCycles > 0)
-                       p.timeoutCycles = opts.timeoutCycles;
-                   return p;
-               }()),
       drowsy_(mem_, machine.drowsy), powerModel_(machine.power),
-      trace_(opts.trace), insnCycles_(machine.core.interpreterCpi)
+      trace_(opts.trace),
+      timeoutCycles_(opts.timeoutCycles > 0 ? opts.timeoutCycles
+                                            : machine.timeout.timeoutCycles),
+      insnCycles_(machine.core.interpreterCpi)
 {
     if (injector_.active()) {
         controller_.setFaultInjector(&injector_);
@@ -62,15 +77,6 @@ SimMachine::SimMachine(const MachineConfig &machine,
     }
 }
 
-SimMachine::~SimMachine()
-{
-    // The registry's probes read the collector; detach them however
-    // the run ends (cancellation included), so the registry never
-    // outlives its probed objects.
-    if (collector_)
-        opts_.metrics->detachProbes();
-}
-
 void
 SimMachine::accrue()
 {
@@ -88,6 +94,17 @@ SimMachine::creditTranslation(InsnCount n)
         trace_->setNow(n, cycles_);
     cycles_ += pchop_.onTranslationHead(lastTrans_, n - headInsn_,
                                         cycles_);
+}
+
+void
+SimMachine::switchVpu(bool on, InsnCount n)
+{
+    accrue();
+    if (trace_)
+        trace_->setNow(n, cycles_);
+    GatingPolicy policy = GatingPolicy::fullPower();
+    policy.vpuOn = on;
+    cycles_ += controller_.applyPolicy(policy);
 }
 
 void
@@ -119,10 +136,9 @@ SimMachine::enterBlock(BlockId blk, InsnCount n)
     }
     insnCycles_ = interpreting ? core_.interpreterCpi : slot_;
 
-    if (useTimeout_) {
-        accrue();
-        cycles_ += timeout_.checkIdle(cycles_);
-    }
+    if (useTimeout_ && controller_.current().vpuOn &&
+        cycles_ - lastSimd_ >= timeoutCycles_)
+        switchVpu(false, n);
     if (useDrowsy_)
         drowsy_.tick(cycles_);
 }
@@ -135,8 +151,6 @@ SimMachine::finish(InsnCount n)
         creditTranslation(n);
 
     accrue();
-    if (useTimeout_)
-        timeout_.finish(cycles_);
     if (useDrowsy_)
         drowsy_.finish(cycles_);
 
@@ -164,14 +178,7 @@ SimMachine::result(InsnCount n) const
     res.cycles = cycles_;
     res.seconds = per(cycles_, core_.frequencyHz);
 
-    // The timeout gater switches the VPU behind the controller's
-    // back, so its own counts replace the controller's VPU stats.
     res.gating = controller_.stats();
-    if (useTimeout_) {
-        res.gating.vpuSwitches = timeout_.switches();
-        res.gating.vpuGatedCycles = timeout_.gatedCycles();
-    }
-
     res.vpuGatedFraction = per(res.gating.vpuGatedCycles, cycles_);
     res.bpuGatedFraction = per(res.gating.bpuGatedCycles, cycles_);
     res.mlcHalfFraction = per(res.gating.mlcHalfCycles, cycles_);
@@ -239,8 +246,6 @@ SimMachine::result(InsnCount n) const
     act.mlcQuarterCycles = res.gating.mlcQuarterCycles;
     act.mlcOneWayCycles = res.gating.mlcOneWayCycles;
     act.vpuSwitches = static_cast<double>(res.gating.vpuSwitches);
-    if (useTimeout_)
-        act.mlcFullCycles = cycles_;
     act.bpuSwitches = static_cast<double>(res.gating.bpuSwitches);
     act.mlcSwitches = static_cast<double>(res.gating.mlcSwitches);
 

@@ -36,9 +36,6 @@ class SimMachine
     SimMachine(const MachineConfig &machine, const WorkloadSpec &workload,
                const SimOptions &opts);
 
-    /** Detaches the metrics registry's probes from the collector. */
-    ~SimMachine();
-
     SimMachine(const SimMachine &) = delete;
 
     WorkloadGenerator &gen() { return gen_; }
@@ -55,9 +52,10 @@ class SimMachine
      * stay on the current translation's trace while the block
      * sequence follows it, otherwise enter the region headed by
      * @p blk, crediting the instructions since the previous
-     * translated head to that translation (PowerChop mode); then tick
-     * the timeout and drowsy gaters. Fixes the execution mode, and so
-     * issue()'s cost, for the whole block.
+     * translated head to that translation (PowerChop mode); then gate
+     * off a VPU idle for the timeout period (TimeoutVpu mode) and tick
+     * the drowsy gater. Fixes the execution mode, and so issue()'s
+     * cost, for the whole block.
      */
     void enterBlock(BlockId blk, InsnCount n);
 
@@ -71,13 +69,18 @@ class SimMachine
             cycles_ += insnCycles_;
     }
 
-    /** A SIMD instruction: wake a timeout-gated VPU, and charge the
-     *  extra issue slots (and energy) of scalar emulation. */
+    /** The SIMD instruction after @p n executed ones: restart the
+     *  idle clock and wake a timeout-gated VPU (TimeoutVpu mode), and
+     *  charge the extra issue slots (and energy) of scalar
+     *  emulation. */
     void
-    simd()
+    simd(InsnCount n)
     {
-        if (useTimeout_)
-            cycles_ += timeout_.onSimdUse(cycles_);
+        if (useTimeout_) {
+            lastSimd_ = cycles_;
+            if (!controller_.current().vpuOn)
+                switchVpu(true, n);
+        }
         const double slots = vpu_.executeSimd();
         if (slots > 1.0) {
             cycles_ += (slots - 1.0) * slot_;
@@ -145,8 +148,8 @@ class SimMachine
     /**
      * End the run after @p n instructions: credit the instructions
      * after the final translated head (otherwise the last HTB window
-     * of every run would be lost), settle residencies and the
-     * baseline gaters, and close the trace.
+     * of every run would be lost), settle residencies and the drowsy
+     * gater, and close the trace.
      */
     void finish(InsnCount n);
 
@@ -158,6 +161,11 @@ class SimMachine
 
     /** PowerChop's HTB/CDE step for the last translation. */
     void creditTranslation(InsnCount n);
+
+    /** The timeout baseline's VPU transition after @p n instructions,
+     *  made by the controller like every other unit power-state
+     *  change. Out of line: it is rare, and simd() stays small. */
+    void switchVpu(bool on, InsnCount n);
 
     const MachineConfig &machine_;
     const WorkloadSpec &workload_;
@@ -178,13 +186,17 @@ class SimMachine
      *  the run, so fault sequences are deterministic on any worker
      *  count. */
     FaultInjector injector_;
-    TimeoutGater timeout_;
     DrowsyMlc drowsy_;
     CorePowerModel powerModel_;
     telemetry::TraceRecorder *const trace_;
     std::optional<telemetry::WindowMetricsCollector> collector_;
 
     Cycles cycles_ = 0;
+
+    /** The timeout baseline's idle clock: its period, and the cycle
+     *  of the last SIMD op. */
+    const double timeoutCycles_;
+    Cycles lastSimd_ = 0;
 
     /**
      * Residency accounting: accrue() charges elapsed cycles to the

@@ -191,7 +191,7 @@ simulate(const MachineConfig &machine, const WorkloadSpec &workload,
 
             switch (s->kind) {
               case SlotKind::Simd:
-                sim.simd();
+                sim.simd(n);
                 ++simd_committed;
                 break;
               case SlotKind::Load:

@@ -17,43 +17,29 @@ namespace telemetry
 {
 
 void
-MetricsRegistry::addProbe(const std::string &name, Probe fn)
+MetricsRegistry::setColumns(std::vector<std::string> names)
 {
     panicIf(!rows_.empty(),
-            "MetricsRegistry: cannot add a probe after the first "
-            "snapshot froze the schema");
-    panicIf(!fn, "MetricsRegistry: probe callback must be callable");
-    for (const auto &c : columns_) {
-        if (c == name)
-            panic("MetricsRegistry: duplicate column '%s'",
-                  name.c_str());
+            "MetricsRegistry: cannot rename columns after the first "
+            "row froze the schema");
+    for (std::size_t i = 0; i < names.size(); ++i) {
+        for (std::size_t j = 0; j < i; ++j) {
+            if (names[i] == names[j])
+                panic("MetricsRegistry: duplicate column '%s'",
+                      names[i].c_str());
+        }
     }
-    columns_.push_back(name);
-    probes_.push_back(std::move(fn));
+    columns_ = std::move(names);
 }
 
 void
-MetricsRegistry::snapshot(std::uint64_t window, InsnCount instructions,
-                          Cycles cycles)
+MetricsRegistry::addRow(std::uint64_t window, InsnCount instructions,
+                        Cycles cycles, std::vector<double> values)
 {
-    panicIf(probes_.empty() && columns_.empty(),
-            "MetricsRegistry: snapshot with no registered probes");
-    panicIf(probes_.size() != columns_.size(),
-            "MetricsRegistry: snapshot after detachProbes()");
-    Row row;
-    row.window = window;
-    row.instructions = instructions;
-    row.cycles = cycles;
-    row.values.reserve(probes_.size());
-    for (const auto &p : probes_)
-        row.values.push_back(p());
-    rows_.push_back(std::move(row));
-}
-
-void
-MetricsRegistry::detachProbes()
-{
-    probes_.clear();
+    if (columns_.empty() || values.size() != columns_.size())
+        panic("MetricsRegistry: row of %zu values for %zu columns",
+              values.size(), columns_.size());
+    rows_.push_back({window, instructions, cycles, std::move(values)});
 }
 
 double
@@ -154,38 +140,18 @@ WindowMetricsCollector::WindowMetricsCollector(
     panicIf(mlcAssoc_ == 0,
             "WindowMetricsCollector: mlcAssoc must be non-zero");
 
-    registry_.addProbe("window_instructions",
-                       [this] { return cur_.windowInsns; });
-    registry_.addProbe("window_cycles",
-                       [this] { return cur_.windowCycles; });
-    registry_.addProbe("window_ipc", [this] { return cur_.ipc; });
-    registry_.addProbe("crit_vpu", [this] { return cur_.critVpu; });
-    registry_.addProbe("crit_bpu", [this] { return cur_.critBpu; });
-    registry_.addProbe("crit_mlc", [this] { return cur_.critMlc; });
-    registry_.addProbe("mispred_large",
-                       [this] { return cur_.mispredLarge; });
-    registry_.addProbe("mispred_small",
-                       [this] { return cur_.mispredSmall; });
-    registry_.addProbe("l2_hits_per_kinsn",
-                       [this] { return cur_.l2HitsPerKilo; });
-    registry_.addProbe("vpu_on", [this] { return cur_.vpuOn; });
-    registry_.addProbe("bpu_on", [this] { return cur_.bpuOn; });
-    registry_.addProbe("mlc_active_frac",
-                       [this] { return cur_.mlcActiveFrac; });
-    registry_.addProbe("stall_cycles",
-                       [this] { return cur_.stallCycles; });
-    registry_.addProbe("vpu_gated_frac",
-                       [this] { return cur_.vpuGatedFrac; });
-    registry_.addProbe("bpu_gated_frac",
-                       [this] { return cur_.bpuGatedFrac; });
+    std::vector<std::string> columns = {
+        "window_instructions", "window_cycles", "window_ipc",
+        "crit_vpu", "crit_bpu", "crit_mlc", "mispred_large",
+        "mispred_small", "l2_hits_per_kinsn", "vpu_on", "bpu_on",
+        "mlc_active_frac", "stall_cycles", "vpu_gated_frac",
+        "bpu_gated_frac"};
     if (power_) {
-        registry_.addProbe("vpu_leakage_j",
-                           [this] { return cur_.vpuLeakageJ; });
-        registry_.addProbe("bpu_leakage_j",
-                           [this] { return cur_.bpuLeakageJ; });
-        registry_.addProbe("mlc_leakage_j",
-                           [this] { return cur_.mlcLeakageJ; });
+        columns.insert(columns.end(),
+                       {"vpu_leakage_j", "bpu_leakage_j",
+                        "mlc_leakage_j"});
     }
+    registry_.setColumns(std::move(columns));
 }
 
 void
@@ -199,54 +165,53 @@ WindowMetricsCollector::onWindow(const WindowReport &rep,
 
     const double wc = now - lastEdge_;
     const double wi = static_cast<double>(rep.instructions);
-
-    cur_.windowInsns = wi;
-    cur_.windowCycles = wc;
-    cur_.ipc = wc > 0 ? wi / wc : 0.0;
-
-    cur_.critVpu = profile.vpuCriticality();
-    cur_.critBpu = profile.mispredSmall - profile.mispredLarge;
-    cur_.critMlc = profile.mlcCriticality();
-    cur_.mispredLarge = profile.mispredLarge;
-    cur_.mispredSmall = profile.mispredSmall;
-    cur_.l2HitsPerKilo = profile.totalInsns
-        ? 1000.0 * profile.l2Hits / profile.totalInsns
-        : 0.0;
-
     const GatingPolicy &pol = controller.current();
-    cur_.vpuOn = pol.vpuOn ? 1.0 : 0.0;
-    cur_.bpuOn = pol.bpuOn ? 1.0 : 0.0;
-    cur_.mlcActiveFrac =
-        static_cast<double>(mlcActiveWays(pol.mlc, mlcAssoc_)) /
-        mlcAssoc_;
-
     const GatingStats &gs = controller.stats();
-    cur_.stallCycles = gs.stallCycles - prevStall_;
     const double vpu_gated = gs.vpuGatedCycles - prevVpuGated_;
     const double bpu_gated = gs.bpuGatedCycles - prevBpuGated_;
-    cur_.vpuGatedFrac = wc > 0 ? vpu_gated / wc : 0.0;
-    cur_.bpuGatedFrac = wc > 0 ? bpu_gated / wc : 0.0;
+
+    // One value per column, in setColumns() order.
+    std::vector<double> row = {
+        wi,
+        wc,
+        wc > 0 ? wi / wc : 0.0,
+        profile.vpuCriticality(),
+        profile.mispredSmall - profile.mispredLarge,
+        profile.mlcCriticality(),
+        profile.mispredLarge,
+        profile.mispredSmall,
+        profile.totalInsns
+            ? 1000.0 * profile.l2Hits / profile.totalInsns
+            : 0.0,
+        pol.vpuOn ? 1.0 : 0.0,
+        pol.bpuOn ? 1.0 : 0.0,
+        static_cast<double>(mlcActiveWays(pol.mlc, mlcAssoc_)) /
+            mlcAssoc_,
+        gs.stallCycles - prevStall_,
+        wc > 0 ? vpu_gated / wc : 0.0,
+        wc > 0 ? bpu_gated / wc : 0.0,
+    };
 
     if (power_) {
         const double inv_hz = 1.0 / frequencyHz_;
-        cur_.vpuLeakageJ = power_->leakageEnergy(
+        row.push_back(power_->leakageEnergy(
             Unit::Vpu, (wc - vpu_gated) * inv_hz,
-            vpu_gated * inv_hz);
-        cur_.bpuLeakageJ = power_->leakageEnergy(
+            vpu_gated * inv_hz));
+        row.push_back(power_->leakageEnergy(
             Unit::Bpu, (wc - bpu_gated) * inv_hz,
-            bpu_gated * inv_hz);
+            bpu_gated * inv_hz));
 
         auto frac = [this](MlcPolicy p) {
             return static_cast<double>(mlcActiveWays(p, mlcAssoc_)) /
                    mlcAssoc_;
         };
-        cur_.mlcLeakageJ = power_->mlcLeakageEnergy(
+        row.push_back(power_->mlcLeakageEnergy(
             (gs.mlcFullCycles - prevMlcFull_) * inv_hz,
             (gs.mlcHalfCycles - prevMlcHalf_) * inv_hz,
             (gs.mlcQuarterCycles - prevMlcQuarter_) * inv_hz,
             (gs.mlcOneWayCycles - prevMlcOne_) * inv_hz,
             frac(MlcPolicy::OneWay), frac(MlcPolicy::HalfWays),
-            frac(MlcPolicy::QuarterWays));
+            frac(MlcPolicy::QuarterWays)));
     }
 
     prevStall_ = gs.stallCycles;
@@ -260,7 +225,7 @@ WindowMetricsCollector::onWindow(const WindowReport &rep,
     cumInsns_ += rep.instructions;
     lastEdge_ = now;
     ++windowIndex_;
-    registry_.snapshot(windowIndex_, cumInsns_, now);
+    registry_.addRow(windowIndex_, cumInsns_, now, std::move(row));
 }
 
 } // namespace telemetry

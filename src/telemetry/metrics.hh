@@ -2,12 +2,11 @@
  * @file
  * Metrics registry: per-window time series for one simulation run.
  *
- * Columns are named probes (callbacks returning the current value of
- * some counter or derived metric). At every execution-window edge the
- * owner calls snapshot(), which evaluates all probes into one row
- * stamped with the window index, cumulative instruction count and
- * cycle time. Rows serialize to CSV (one header + one line per
- * window) or JSONL (one object per window).
+ * The owner names the columns once; at every execution-window edge
+ * it appends one row of values, stamped with the window index,
+ * cumulative instruction count and cycle time. Rows serialize to CSV
+ * (one header + one line per window) or JSONL (one object per
+ * window).
  *
  * Like the trace recorder, a registry is a per-run, single-threaded
  * object: parallel batches give each job its own registry and merge
@@ -18,13 +17,12 @@
  * attached by simulate() when SimOptions::metrics is set, it derives
  * the canonical per-window series (IPC, mispredict rates, L2 hits,
  * criticality scores, gate residency, per-unit leakage energy) from
- * each window report and snapshots the registry.
+ * each window report and appends them as a row.
  */
 
 #ifndef POWERCHOP_TELEMETRY_METRICS_HH
 #define POWERCHOP_TELEMETRY_METRICS_HH
 
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -48,9 +46,7 @@ namespace telemetry
 class MetricsRegistry
 {
   public:
-    using Probe = std::function<double()>;
-
-    /** One snapshot row. */
+    /** One window's row. */
     struct Row
     {
         std::uint64_t window = 0;
@@ -60,24 +56,15 @@ class MetricsRegistry
     };
 
     /**
-     * Register one probe column. The schema freezes at the first
-     * snapshot(); registering after that is a panic.
-     *
-     * @param name Column name (CSV header / JSONL key).
-     * @param fn   Evaluated at every snapshot.
+     * Name the columns (CSV header / JSONL keys). The schema freezes
+     * at the first row; renaming after that, or naming a column
+     * twice, is a panic.
      */
-    void addProbe(const std::string &name, Probe fn);
+    void setColumns(std::vector<std::string> names);
 
-    /** Evaluate all probes into one row. */
-    void snapshot(std::uint64_t window, InsnCount instructions,
-                  Cycles cycles);
-
-    /**
-     * Drop the probe callbacks, keeping columns and rows. Called when
-     * the probed objects are about to die (end of simulate()) so the
-     * registry can safely outlive the run it measured.
-     */
-    void detachProbes();
+    /** Append one row; @p values holds one value per column. */
+    void addRow(std::uint64_t window, InsnCount instructions,
+                Cycles cycles, std::vector<double> values);
 
     const std::vector<std::string> &columnNames() const
     {
@@ -105,7 +92,6 @@ class MetricsRegistry
 
   private:
     std::vector<std::string> columns_;
-    std::vector<Probe> probes_;
     std::vector<Row> rows_;
 };
 
@@ -114,9 +100,10 @@ class MetricsRegistry
  *
  * Owned by simulate(); receives every window edge from the PowerChop
  * unit with the window report, the window's performance profile and
- * the gating controller, computes the canonical series and snapshots
- * the registry. The power model pointer is optional; without it the
- * per-unit leakage-energy columns are omitted.
+ * the gating controller, computes the canonical series and appends
+ * them to the registry as one row. The power model pointer is
+ * optional; without it the per-unit leakage-energy columns are
+ * omitted.
  */
 class WindowMetricsCollector
 {
@@ -139,35 +126,11 @@ class WindowMetricsCollector
     std::uint64_t windowsObserved() const { return windowIndex_; }
 
   private:
-    /** The last window's derived values, read by the probes. */
-    struct Current
-    {
-        double windowInsns = 0;
-        double windowCycles = 0;
-        double ipc = 0;
-        double critVpu = 0;
-        double critBpu = 0;
-        double critMlc = 0;
-        double mispredLarge = 0;
-        double mispredSmall = 0;
-        double l2HitsPerKilo = 0;
-        double vpuOn = 1;
-        double bpuOn = 1;
-        double mlcActiveFrac = 1;
-        double stallCycles = 0;
-        double vpuGatedFrac = 0;
-        double bpuGatedFrac = 0;
-        double vpuLeakageJ = 0;
-        double bpuLeakageJ = 0;
-        double mlcLeakageJ = 0;
-    };
-
     MetricsRegistry &registry_;
     const CorePowerModel *power_;
     double frequencyHz_;
     unsigned mlcAssoc_;
 
-    Current cur_;
     std::uint64_t windowIndex_ = 0;
     InsnCount cumInsns_ = 0;
     Cycles lastEdge_ = 0;

@@ -143,7 +143,8 @@ class TraceRecorder
 
     /** Advance the recorder's notion of "now"; every subsequent event
      *  is stamped with these values. Called by the simulator at
-     *  translation heads (the resolution of gating activity). */
+     *  translation heads (the resolution of PowerChop's gating) and
+     *  at each timeout-mode VPU transition. */
     void
     setNow(InsnCount insns, Cycles cycles)
     {

@@ -247,9 +247,8 @@ InvariantAuditor::auditInternal(const SimResult &res,
             "activity-consistency", "activity.bpuSwitches vs gating");
     c.equal(a.mlcSwitches, static_cast<double>(g.mlcSwitches),
             "activity-consistency", "activity.mlcSwitches vs gating");
-    // The energy model also partitions the MLC's residency; TimeoutVpu
-    // forces activity.mlcFullCycles = cycles, which the conservation
-    // law above already makes equivalent to the gating view.
+    // The energy model reads the MLC residencies from the activity
+    // record, which copies the gating view in every mode.
     const double act_mlc_residency =
         a.mlcFullCycles + a.mlcHalfCycles + a.mlcQuarterCycles +
         a.mlcOneWayCycles;

@@ -48,7 +48,7 @@ referenceSimulate(const MachineConfig &machine,
 
         switch (op) {
           case OpClass::SimdOp:
-            sim.simd();
+            sim.simd(n);
             break;
           case OpClass::Load:
           case OpClass::Store:

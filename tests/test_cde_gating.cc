@@ -1,7 +1,7 @@
 /**
  * @file
  * Unit tests for the Criticality Decision Engine, the gating
- * controller, the timeout baseline and the PowerChop orchestrator.
+ * controller and the PowerChop orchestrator.
  */
 
 #include <gtest/gtest.h>
@@ -11,7 +11,6 @@
 #include "core/cde.hh"
 #include "core/gating_controller.hh"
 #include "core/powerchop_unit.hh"
-#include "core/timeout_gater.hh"
 #include "sim/machine_config.hh"
 
 using namespace powerchop;
@@ -358,70 +357,6 @@ TEST(GatingController, MlcActiveFraction)
     p.mlc = MlcPolicy::HalfWays;
     rig.ctrl.applyPolicy(p);
     EXPECT_DOUBLE_EQ(rig.ctrl.mlcActiveFraction(), 0.5);
-}
-
-// --- timeout gater ------------------------------------------------------------------------
-
-TEST(TimeoutGater, GatesAfterIdlePeriod)
-{
-    Vpu vpu;
-    TimeoutParams params;
-    params.timeoutCycles = 1000;
-    TimeoutGater tg(vpu, params);
-
-    EXPECT_DOUBLE_EQ(tg.checkIdle(500), 0);
-    EXPECT_TRUE(vpu.on());
-    double stall = tg.checkIdle(1500);
-    EXPECT_DOUBLE_EQ(stall, params.switchCycles +
-                                params.saveRestoreCycles);
-    EXPECT_FALSE(vpu.on());
-    EXPECT_EQ(tg.switches(), 1u);
-}
-
-TEST(TimeoutGater, UseResetsIdleClock)
-{
-    Vpu vpu;
-    TimeoutParams params;
-    params.timeoutCycles = 1000;
-    TimeoutGater tg(vpu, params);
-    EXPECT_DOUBLE_EQ(tg.onSimdUse(800), 0);  // on: no wake cost
-    EXPECT_DOUBLE_EQ(tg.checkIdle(1500), 0); // only 700 idle
-    EXPECT_TRUE(vpu.on());
-}
-
-TEST(TimeoutGater, WakesOnUseWithPenalty)
-{
-    Vpu vpu;
-    TimeoutParams params;
-    params.timeoutCycles = 100;
-    TimeoutGater tg(vpu, params);
-    tg.checkIdle(200);
-    ASSERT_FALSE(vpu.on());
-    double stall = tg.onSimdUse(5000);
-    EXPECT_DOUBLE_EQ(stall, params.switchCycles +
-                                params.saveRestoreCycles);
-    EXPECT_TRUE(vpu.on());
-    EXPECT_EQ(tg.switches(), 2u);
-    EXPECT_DOUBLE_EQ(tg.gatedCycles(), 4800);
-}
-
-TEST(TimeoutGater, FinishAccountsTrailingGatedTime)
-{
-    Vpu vpu;
-    TimeoutParams params;
-    params.timeoutCycles = 100;
-    TimeoutGater tg(vpu, params);
-    tg.checkIdle(200);
-    tg.finish(1200);
-    EXPECT_DOUBLE_EQ(tg.gatedCycles(), 1000);
-}
-
-TEST(TimeoutGater, RejectsBadTimeout)
-{
-    Vpu vpu;
-    TimeoutParams params;
-    params.timeoutCycles = 0;
-    EXPECT_THROW(TimeoutGater(vpu, params), FatalError);
 }
 
 // --- PowerChop orchestrator -----------------------------------------------------------------

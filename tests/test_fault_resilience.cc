@@ -379,6 +379,17 @@ TEST(MachineConfigValidation, NamesTheBadField)
     }
     {
         MachineConfig m = serverConfig();
+        m.timeout.timeoutCycles = 0;
+        try {
+            m.validate();
+            FAIL() << "expected fatal()";
+        } catch (const FatalError &e) {
+            EXPECT_NE(std::string(e.what()).find("timeout.timeoutCycles"),
+                      std::string::npos);
+        }
+    }
+    {
+        MachineConfig m = serverConfig();
         m.powerChop.qos.referenceDecay = 0;
         try {
             m.validate();

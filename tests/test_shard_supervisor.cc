@@ -601,6 +601,66 @@ TEST(ShardedCampaign, CountsEveryJobOnce)
               20u);
 }
 
+/** perlbench and namd on the server in all five modes: 10 jobs of
+ *  200K instructions over `shards` workers. */
+std::vector<std::string>
+tenJobArgs(const std::string &dir, const char *shards)
+{
+    return {"campaign", dir, "--workloads", "perlbench,namd",
+            "--machine", "server", "--insns", "200000",
+            "--shards", shards};
+}
+
+TEST(ShardedCampaign, ResumeWithAnotherShardCountReplaysEveryOkJob)
+{
+    // Three shards cut the key range where two did not, so most ok
+    // records sit in the journal of another shard than the job's.
+    const std::string dir = freshDir("reshard");
+    ASSERT_TRUE(runCli(tenJobArgs(dir, "2")).exitedOk());
+    const std::string report = readFile(dir + "/report.json");
+
+    std::vector<std::string> args = tenJobArgs(dir, "3");
+    args.push_back("--resume");
+    std::string out;
+    EXPECT_EQ(runCli(args, {}, &out).describe(), "exit 0") << out;
+    EXPECT_NE(out.find("10 jobs: 10 replayed from journal, 0 executed"),
+              std::string::npos)
+        << out;
+    EXPECT_EQ(readFile(dir + "/report.json"), report);
+}
+
+TEST(ShardedCampaign, BenchEntryCountsTheWorkOfThisRun)
+{
+    // busy_seconds is the workers' CPU time and instructions the
+    // budgets of the jobs that finished ok in this run, so a resume
+    // that replays every job simulated nothing.
+    const std::string bench_dir = freshDir("work-bench");
+    makeCampaignDirs(bench_dir);
+    const std::string bench = bench_dir + "/BENCH_runner.json";
+    const std::vector<std::string> env = {"POWERCHOP_RUNNER_JSON=" +
+                                          bench};
+    const auto lastEntry = [&] {
+        json::Value doc;
+        EXPECT_TRUE(json::parse(readFile(bench), doc));
+        EXPECT_TRUE(doc.isArray() && !doc.elements().empty());
+        return doc.elements().back();
+    };
+
+    std::vector<std::string> args = tenJobArgs(freshDir("work"), "2");
+    ASSERT_TRUE(runCli(args, env).exitedOk());
+    const json::Value run = lastEntry();
+    EXPECT_EQ(run.getString("bench"), "campaign-shards");
+    EXPECT_EQ(run.getUint64("jobs"), 10u);
+    EXPECT_EQ(run.getUint64("instructions"), 2'000'000u);
+    EXPECT_GT(run.getDouble("busy_seconds"), 0.0);
+    EXPECT_GT(run.getDouble("mips"), 0.0);
+    EXPECT_GT(run.getDouble("speedup"), 0.0);
+
+    args.push_back("--resume");
+    ASSERT_TRUE(runCli(args, env).exitedOk());
+    EXPECT_EQ(lastEntry().getUint64("instructions"), 0u);
+}
+
 TEST(ShardedCampaign, WorkerRebuildsMatrixFromForwardedFlags)
 {
     // The worker derives content keys from the forwarded matrix

@@ -4,12 +4,16 @@
  * short end-to-end runs.
  */
 
+#include <optional>
+
 #include <gtest/gtest.h>
 
 #include "common/logging.hh"
 #include "sim/experiment.hh"
 #include "sim/machine_config.hh"
+#include "sim/sim_machine.hh"
 #include "sim/simulator.hh"
+#include "telemetry/trace.hh"
 #include "workload/suites.hh"
 
 using namespace powerchop;
@@ -211,6 +215,254 @@ TEST(Simulator, TimeoutGatesVpuOnly)
     EXPECT_GT(r.vpuGatedFraction, 0.1);
     EXPECT_DOUBLE_EQ(r.bpuGatedFraction, 0.0);
     EXPECT_DOUBLE_EQ(r.mlcOneWayFraction, 0.0);
+}
+
+// --- the timeout baseline on one machine ------------------------------------------
+
+namespace
+{
+
+SimOptions
+timeoutOptions(double timeoutCycles, telemetry::TraceRecorder *trace)
+{
+    SimOptions opts;
+    opts.mode = SimMode::TimeoutVpu;
+    opts.maxInstructions = 1'000'000;
+    opts.timeoutCycles = timeoutCycles;
+    opts.trace = trace;
+    return opts;
+}
+
+/** A TimeoutVpu-mode machine driven by hand: block heads, idle
+ *  instructions and SIMD ops at chosen cycles, with a trace recorder
+ *  that stamps each VPU transition. */
+struct TimeoutRig
+{
+    explicit TimeoutRig(double timeoutCycles)
+        : opts(timeoutOptions(timeoutCycles, &trace)),
+          sim(machine, workload, opts)
+    {
+    }
+
+    /** A block head, where an idle VPU is gated off. */
+    void head() { sim.enterBlock(sim.gen().currentBlock(), n); }
+
+    /** Issue non-SIMD instructions until the clock reaches @p until. */
+    void
+    idleUntil(Cycles until)
+    {
+        for (; sim.cycles() < until; ++n)
+            sim.issue();
+    }
+
+    /** Issue one SIMD op; @return the cycle it issued at. */
+    Cycles
+    simd()
+    {
+        sim.issue();
+        const Cycles at = sim.cycles();
+        sim.simd(n++);
+        return at;
+    }
+
+    bool vpuOn() const { return sim.controller().current().vpuOn; }
+
+    std::vector<telemetry::TraceEvent>
+    vpuEvents() const
+    {
+        std::vector<telemetry::TraceEvent> out;
+        for (const auto &e : trace.events()) {
+            if (e.kind == telemetry::TraceEventKind::GateVpu)
+                out.push_back(e);
+        }
+        return out;
+    }
+
+    MachineConfig machine = serverConfig();
+    WorkloadSpec workload = smallWorkload();
+    telemetry::TraceRecorder trace;
+    SimOptions opts;
+    SimMachine sim;
+    InsnCount n = 0;
+};
+
+} // namespace
+
+TEST(TimeoutVpuMode, GatesAfterIdlePeriod)
+{
+    TimeoutRig rig(1000);
+    rig.head();
+    rig.idleUntil(900);
+    rig.head();
+    EXPECT_TRUE(rig.vpuOn());
+    EXPECT_TRUE(rig.vpuEvents().empty());
+
+    // Gated at the first head past the period, stalled for the
+    // timeout baseline's 30-cycle switch and 500-cycle save.
+    rig.idleUntil(1000);
+    const Cycles idle_end = rig.sim.cycles();
+    rig.head();
+    EXPECT_FALSE(rig.vpuOn());
+    EXPECT_EQ(rig.sim.controller().stats().vpuSwitches, 1u);
+    EXPECT_DOUBLE_EQ(rig.sim.controller().stats().stallCycles, 530.0);
+    EXPECT_DOUBLE_EQ(rig.sim.cycles(), idle_end + 530.0);
+
+    const auto ev = rig.vpuEvents();
+    ASSERT_EQ(ev.size(), 1u);
+    EXPECT_EQ(ev[0].a0, 0u);
+    EXPECT_EQ(ev[0].insns, rig.n);
+    EXPECT_DOUBLE_EQ(ev[0].cycles, idle_end);
+    EXPECT_DOUBLE_EQ(ev[0].d, 530.0);
+}
+
+TEST(TimeoutVpuMode, SimdRestartsIdleClock)
+{
+    TimeoutRig rig(1000);
+    rig.head();
+    rig.idleUntil(800);
+    const Cycles used = rig.simd();
+    rig.idleUntil(1500); // past the period from 0, not from the op
+    rig.head();
+    EXPECT_TRUE(rig.vpuOn());
+
+    rig.idleUntil(used + 1000);
+    rig.head();
+    EXPECT_FALSE(rig.vpuOn());
+    const auto ev = rig.vpuEvents();
+    ASSERT_EQ(ev.size(), 1u);
+    EXPECT_GE(ev[0].cycles - used, 1000.0);
+}
+
+TEST(TimeoutVpuMode, SimdWakesGatedVpuWithPenalty)
+{
+    TimeoutRig rig(100);
+    rig.head();
+    rig.idleUntil(200);
+    rig.head();
+    ASSERT_FALSE(rig.vpuOn());
+    const Cycles off = rig.vpuEvents().at(0).cycles;
+
+    rig.idleUntil(5000);
+    const InsnCount wake_insn = rig.n;
+    const Cycles wake = rig.simd();
+    EXPECT_TRUE(rig.vpuOn());
+    EXPECT_DOUBLE_EQ(rig.sim.cycles(), wake + 530.0);
+    EXPECT_EQ(rig.sim.controller().stats().vpuSwitches, 2u);
+    EXPECT_DOUBLE_EQ(rig.sim.controller().stats().stallCycles, 1060.0);
+
+    // The wake is stamped at the SIMD op that caused it.
+    const auto ev = rig.vpuEvents();
+    ASSERT_EQ(ev.size(), 2u);
+    EXPECT_EQ(ev[1].a0, 1u);
+    EXPECT_EQ(ev[1].insns, wake_insn);
+    EXPECT_DOUBLE_EQ(ev[1].cycles, wake);
+    EXPECT_DOUBLE_EQ(ev[1].d, 530.0);
+
+    rig.sim.finish(rig.n);
+    const SimResult res = rig.sim.result(rig.n);
+    EXPECT_EQ(res.gating.vpuSwitches, 2u);
+    EXPECT_DOUBLE_EQ(res.gating.vpuGatedCycles, wake - off);
+}
+
+TEST(TimeoutVpuMode, FinishCountsTrailingGatedTime)
+{
+    TimeoutRig rig(100);
+    rig.head();
+    rig.idleUntil(200);
+    rig.head();
+    ASSERT_FALSE(rig.vpuOn());
+    const Cycles off = rig.vpuEvents().at(0).cycles;
+
+    rig.idleUntil(off + 1000);
+    rig.sim.finish(rig.n);
+    const SimResult res = rig.sim.result(rig.n);
+    EXPECT_DOUBLE_EQ(res.gating.vpuGatedCycles, res.cycles - off);
+    EXPECT_DOUBLE_EQ(rig.trace.endCycles(), res.cycles);
+}
+
+TEST(TimeoutVpuMode, RejectsBadTimeout)
+{
+    // The machine's timeout period is checked before the run starts,
+    // and the error names the field.
+    setQuiet(true);
+    for (double bad : {0.0, -100.0}) {
+        SCOPED_TRACE(bad);
+        MachineConfig m = serverConfig();
+        m.timeout.timeoutCycles = bad;
+        try {
+            simulate(m, smallWorkload(), timeoutOptions(0, nullptr));
+            ADD_FAILURE() << "expected fatal()";
+        } catch (const FatalError &e) {
+            EXPECT_NE(std::string(e.what()).find("timeout.timeoutCycles"),
+                      std::string::npos);
+        }
+    }
+    setQuiet(false);
+}
+
+TEST(TimeoutVpuMode, EveryVpuSwitchIsATraceEvent)
+{
+    // The controller owns the timeout baseline's VPU transitions, so
+    // the trace sees each one, and the spans from each gate-off to
+    // the next wake (or the end of the run) are the gated residency.
+    struct Case
+    {
+        const char *app;
+        InsnCount insns;
+        double timeoutCycles; ///< 0: the machine's 20K cycles.
+    };
+    for (const Case &c : {Case{"perlbench", 4'000'000, 0},
+                          Case{"canneal", 1'000'000, 0},
+                          Case{"msn", 2'000'000, 0},
+                          Case{"namd", 1'000'000, 1000}}) {
+        SCOPED_TRACE(c.app);
+        const WorkloadSpec w = findWorkload(c.app);
+        const MachineConfig m = w.suite == Suite::MobileBench
+            ? mobileConfig() : serverConfig();
+        telemetry::TraceRecorder trace;
+        SimOptions opts = timeoutOptions(c.timeoutCycles, &trace);
+        opts.maxInstructions = c.insns;
+        const SimResult res = simulate(m, w, opts);
+        EXPECT_GT(res.gating.vpuSwitches, 0u);
+        EXPECT_EQ(trace.droppedEvents(), 0u);
+
+        std::uint64_t switches = 0;
+        double gated = 0;
+        std::optional<Cycles> off;
+        for (const auto &e : trace.events()) {
+            if (e.kind != telemetry::TraceEventKind::GateVpu)
+                continue;
+            ++switches;
+            if (e.a0 == 0) {
+                ASSERT_FALSE(off.has_value());
+                off = e.cycles;
+            } else {
+                ASSERT_TRUE(off.has_value());
+                gated += e.cycles - *off;
+                off.reset();
+            }
+        }
+        if (off)
+            gated += trace.endCycles() - *off;
+        EXPECT_EQ(switches, res.gating.vpuSwitches);
+        EXPECT_NEAR(gated, res.gating.vpuGatedCycles,
+                    1e-9 * res.gating.vpuGatedCycles);
+    }
+}
+
+TEST(TimeoutVpuMode, FaultsReachTimeoutTransitions)
+{
+    // The controller's fault hooks (state flips, stretched wakes) see
+    // the timeout baseline's transitions, as they see PowerChop's.
+    MachineConfig m = serverConfig();
+    m.faults.enabled = true;
+    m.faults.controllerFlipRate = 0.2;
+    m.faults.wakeupStretchRate = 0.2;
+    SimOptions opts = timeoutOptions(1000, nullptr);
+    const SimResult res = simulate(m, findWorkload("namd"), opts);
+    EXPECT_GT(res.gating.vpuSwitches, 0u);
+    EXPECT_GT(res.faults.controllerFlips, 0u);
+    EXPECT_GT(res.faults.wakeupStretches, 0u);
 }
 
 TEST(Simulator, SamplerFires)

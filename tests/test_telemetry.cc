@@ -372,16 +372,12 @@ TEST(TelemetryIntegration, TraceBytesIdenticalAcrossWorkerCounts)
 
 // --- MetricsRegistry ---------------------------------------------------------
 
-TEST(MetricsRegistry, ProbesSnapshotIntoRows)
+TEST(MetricsRegistry, RowsHoldAppendedValues)
 {
     MetricsRegistry reg;
-    double x = 1.5;
-    reg.addProbe("x", [&] { return x; });
-    reg.addProbe("twice_x", [&] { return 2 * x; });
-
-    reg.snapshot(1, 100, 250.0);
-    x = 3.0;
-    reg.snapshot(2, 200, 500.0);
+    reg.setColumns({"x", "twice_x"});
+    reg.addRow(1, 100, 250.0, {1.5, 3.0});
+    reg.addRow(2, 200, 500.0, {3.0, 6.0});
 
     ASSERT_EQ(reg.columnNames().size(), 2u);
     ASSERT_EQ(reg.rows().size(), 2u);
@@ -391,21 +387,24 @@ TEST(MetricsRegistry, ProbesSnapshotIntoRows)
     EXPECT_EQ(reg.rows()[1].window, 2u);
     EXPECT_EQ(reg.rows()[1].instructions, 200u);
     EXPECT_DOUBLE_EQ(reg.rows()[1].cycles, 500.0);
+
+    // A row holds exactly one value per column.
+    EXPECT_THROW(reg.addRow(3, 300, 750.0, {1.0}), PanicError);
+    EXPECT_THROW(MetricsRegistry().addRow(1, 10, 10.0, {}), PanicError);
 }
 
 TEST(MetricsRegistry, SchemaFreezesAtFirstSnapshot)
 {
     MetricsRegistry reg;
-    reg.addProbe("a", [] { return 1.0; });
-    reg.snapshot(1, 10, 10.0);
-    EXPECT_THROW(reg.addProbe("b", [] { return 2.0; }), PanicError);
+    reg.setColumns({"a"});
+    reg.addRow(1, 10, 10.0, {1.0});
+    EXPECT_THROW(reg.setColumns({"a", "b"}), PanicError);
 }
 
 TEST(MetricsRegistry, RejectsDuplicateColumns)
 {
     MetricsRegistry reg;
-    reg.addProbe("a", [] { return 1.0; });
-    EXPECT_THROW(reg.addProbe("a", [] { return 2.0; }), PanicError);
+    EXPECT_THROW(reg.setColumns({"a", "b", "a"}), PanicError);
 }
 
 TEST(MetricsRegistry, ColumnIndexPanicsWhenAbsent)
@@ -417,8 +416,8 @@ TEST(MetricsRegistry, ColumnIndexPanicsWhenAbsent)
 TEST(MetricsRegistry, CsvAndJsonlRender)
 {
     MetricsRegistry reg;
-    reg.addProbe("ipc", [] { return 0.5; });
-    reg.snapshot(1, 100, 400.0);
+    reg.setColumns({"ipc"});
+    reg.addRow(1, 100, 400.0, {0.5});
 
     EXPECT_EQ(reg.toCsv(),
               "window,instructions,cycles,ipc\n1,100,400,0.5\n");
@@ -426,17 +425,6 @@ TEST(MetricsRegistry, CsvAndJsonlRender)
     EXPECT_TRUE(jsonBalanced(jsonl));
     EXPECT_NE(jsonl.find("\"window\":1"), std::string::npos);
     EXPECT_NE(jsonl.find("\"ipc\":0.5"), std::string::npos);
-}
-
-TEST(MetricsRegistry, DetachedProbesKeepData)
-{
-    MetricsRegistry reg;
-    reg.addProbe("x", [] { return 4.0; });
-    reg.snapshot(1, 10, 10.0);
-    reg.detachProbes();
-    ASSERT_EQ(reg.rows().size(), 1u);
-    EXPECT_DOUBLE_EQ(reg.value(0, 0), 4.0);
-    EXPECT_EQ(reg.columnNames().size(), 1u);
 }
 
 TEST(MetricsCollector, SimulationProducesCanonicalSeries)

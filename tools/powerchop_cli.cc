@@ -995,6 +995,8 @@ cmdShardedCampaign(const std::string &dir, const Args &a)
     rep.jobs = camp.keys.size();
     rep.threads = static_cast<unsigned>(res.shards);
     rep.wallSeconds = res.wallSeconds;
+    rep.busySeconds = res.busySeconds;
+    rep.instructions = res.instructions;
     rep.okJobs = n.ok;
     rep.failedJobs = n.failed;
     rep.timedOutJobs = n.timedOut;
