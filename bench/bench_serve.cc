@@ -19,7 +19,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <random>
 #include <string>
@@ -34,22 +33,6 @@ using namespace powerchop::bench;
 namespace
 {
 
-std::vector<std::string>
-splitList(const std::string &csv)
-{
-    std::vector<std::string> out;
-    std::size_t start = 0;
-    while (start <= csv.size()) {
-        std::size_t comma = csv.find(',', start);
-        if (comma == std::string::npos)
-            comma = csv.size();
-        if (comma > start)
-            out.push_back(csv.substr(start, comma - start));
-        start = comma + 1;
-    }
-    return out;
-}
-
 /** One key of the working set: the content key plus the single-job
  *  SIM spec that populates it on a read-through miss. */
 struct KeyPoint
@@ -57,29 +40,6 @@ struct KeyPoint
     std::uint64_t key = 0;
     std::string spec;
 };
-
-[[noreturn]] void
-usageExit()
-{
-    std::fprintf(
-        stderr,
-        "usage: bench_serve (--socket PATH | --port N) [options]\n"
-        "  --threads N      concurrent client connections (default 4)\n"
-        "  --requests N     GET requests per thread (default 500)\n"
-        "  --workloads CSV  key-space workloads "
-        "(default perlbench,namd,canneal,msn)\n"
-        "  --machines CSV   key-space machines (default server,mobile)\n"
-        "  --modes CSV      key-space modes (default all five)\n"
-        "  --insns N        per-job instruction budget "
-        "(default 200000)\n"
-        "  --timeout C      idle-timeout cycles in the spec "
-        "(default 0)\n"
-        "  --retries N      reconnect-and-retry attempts per request "
-        "(default 1)\n"
-        "  --timeout-seconds S  per-attempt I/O deadline "
-        "(default 0 = none)\n");
-    std::exit(2);
-}
 
 } // namespace
 
@@ -90,85 +50,74 @@ main(int argc, char **argv)
     unsigned port = 0;
     unsigned threads = 4;
     std::uint64_t requestsPerThread = 500;
-    std::vector<std::string> workloads = {"perlbench", "namd",
-                                          "canneal", "msn"};
-    std::vector<std::string> machines = {"server", "mobile"};
-    std::vector<std::string> modes;
-    for (SimMode m : {SimMode::FullPower, SimMode::PowerChop,
-                      SimMode::MinPower, SimMode::TimeoutVpu,
-                      SimMode::DrowsyMlc}) {
-        modes.push_back(simModeName(m));
-    }
+    std::string workloads = "perlbench,namd,canneal,msn";
+    std::string machines = "server,mobile";
+    std::string modes =
+        "full-power,powerchop,min-power,timeout-vpu,drowsy-mlc";
     std::uint64_t insns = 200'000;
     double timeoutCycles = 0;
     unsigned retries = 1;
     double timeoutSeconds = 0;
+    const std::vector<Flag> flags = {
+        {"--socket", "PATH", "powerchopd's Unix socket",
+         setText(socketPath)},
+        {"--port", "N", "powerchopd's TCP port on 127.0.0.1",
+         setNumber(port, 0u, 65535u)},
+        // POWERCHOP_JOBS's ceiling.
+        {"--threads", "N", "concurrent client connections (default 4)",
+         setNumber(threads, 1u, 1024u)},
+        {"--requests", "N", "GET requests per thread (default 500)",
+         setNumber<std::uint64_t>(requestsPerThread, 1)},
+        {"--workloads", "CSV",
+         "key-space workloads (default perlbench,namd,canneal,msn)",
+         setText(workloads)},
+        {"--machines", "CSV", "key-space machines (default server,mobile)",
+         setText(machines)},
+        {"--modes", "CSV", "key-space modes (default all five)",
+         setText(modes)},
+        {"--insns", "N", "per-job instruction budget (default 200000)",
+         setNumber<std::uint64_t>(insns, 1)},
+        {"--timeout", "C", "idle-timeout cycles in the spec (default 0)",
+         setNumber(timeoutCycles)},
+        {"--retries", "N",
+         "reconnect-and-retry attempts per request (default 1)",
+         setNumber(retries)},
+        {"--timeout-seconds", "S",
+         "per-attempt I/O deadline (default 0 = none)",
+         setSeconds(timeoutSeconds)},
+    };
+    const auto usage = [&] {
+        std::fprintf(stderr,
+                     "usage: bench_serve [options] (a socket or a port "
+                     "is required)\n%s",
+                     flagUsage(flags).c_str());
+        return 2;
+    };
 
-    // Numbers go through the CLI's checked parser, so a bad value
-    // exits 2 before any client thread starts.
+    // The CLI's flag table type: a bad flag or value exits 2 before
+    // any client thread starts.
     try {
-        for (int i = 1; i < argc; ++i) {
-            const std::string arg = argv[i];
-            const auto value = [&]() -> std::string {
-                if (i + 1 >= argc) {
-                    std::fprintf(stderr, "%s wants a value\n",
-                                 arg.c_str());
-                    usageExit();
-                }
-                return argv[++i];
-            };
-            if (arg == "--socket") {
-                socketPath = value();
-            } else if (arg == "--port") {
-                port = parseNumber<unsigned>("--port", value(), 0, 65535);
-            } else if (arg == "--threads") {
-                // POWERCHOP_JOBS's ceiling.
-                threads = parseNumber<unsigned>("--threads", value(), 1, 1024);
-            } else if (arg == "--requests") {
-                requestsPerThread =
-                    parseNumber<std::uint64_t>("--requests", value(), 1);
-            } else if (arg == "--workloads") {
-                workloads = splitList(value());
-            } else if (arg == "--machines") {
-                machines = splitList(value());
-            } else if (arg == "--modes") {
-                modes = splitList(value());
-            } else if (arg == "--insns") {
-                insns = parseNumber<std::uint64_t>("--insns", value(), 1);
-            } else if (arg == "--timeout") {
-                timeoutCycles = parseNumber<double>("--timeout", value());
-            } else if (arg == "--retries") {
-                retries = parseNumber<unsigned>("--retries", value());
-            } else if (arg == "--timeout-seconds") {
-                timeoutSeconds =
-                    parseNumber("--timeout-seconds", value(), 0.0, 1e9);
-            } else {
-                std::fprintf(stderr, "unknown option %s\n", arg.c_str());
-                usageExit();
-            }
-        }
+        parseFlags(flags, {argv + 1, argv + argc});
     } catch (const UsageError &e) {
         std::fprintf(stderr, "%s\n", e.what());
-        usageExit();
+        return usage();
     }
     if (socketPath.empty() && port == 0)
-        usageExit();
+        return usage();
 
     // The working set: expand the matrix workload-major (the
     // daemon's order) and compute each job's content key locally.
     std::vector<KeyPoint> points;
-    for (const std::string &wname : workloads) {
-        for (const std::string &mname : machines) {
-            if (mname != "server" && mname != "mobile")
-                fatal("unknown machine \"%s\"", mname.c_str());
-            for (const std::string &modeName : modes) {
+    for (const std::string &wname : splitList(workloads)) {
+        for (const std::string &mname : splitList(machines)) {
+            const MachineConfig machine = machineByName(mname);
+            for (const std::string &modeName : splitList(modes)) {
                 SimMode mode;
                 if (!parseSimMode(modeName, mode))
                     fatal("unknown mode \"%s\"", modeName.c_str());
                 SimJob job;
                 job.workload = findWorkload(wname);
-                job.machine = mname == "server" ? serverConfig()
-                                                : mobileConfig();
+                job.machine = machine;
                 job.opts.mode = mode;
                 job.opts.maxInstructions = insns;
                 job.opts.timeoutCycles = timeoutCycles;

@@ -16,6 +16,7 @@
 #ifndef POWERCHOP_COMMON_CLOCK_HH
 #define POWERCHOP_COMMON_CLOCK_HH
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <limits>
@@ -95,6 +96,18 @@ class MonotonicDeadline
     bool armed_ = false;
     std::int64_t deadlineNs_ = 0;
 };
+
+/** Exponential backoff: `base` seconds doubled `doublings` times,
+ *  capped at `max`. The runner's retries, the serve client's
+ *  reconnects and the shard supervisor's restarts wait this long. */
+inline double
+cappedBackoff(double base, double max, unsigned doublings)
+{
+    double delay = base;
+    for (unsigned i = 0; i < doublings && delay < max; ++i)
+        delay *= 2;
+    return std::min(delay, max);
+}
 
 } // namespace powerchop
 

@@ -1,5 +1,6 @@
 #include "common/env.hh"
 
+#include <algorithm>
 #include <cctype>
 #include <cerrno>
 #include <cmath>
@@ -128,6 +129,68 @@ parseDoubleFlag(const char *flag, const std::string &text, double lo,
                                   flag, lo, hi, text.c_str()));
     }
     return v;
+}
+
+std::vector<std::string>
+parseFlags(const std::vector<Flag> &flags,
+           const std::vector<std::string> &args)
+{
+    std::vector<std::string> forwarded;
+    for (std::size_t i = 0; i < args.size(); ++i) {
+        const auto flag =
+            std::find_if(flags.begin(), flags.end(),
+                         [&](const Flag &f) { return args[i] == f.name; });
+        if (flag == flags.end())
+            throw UsageError(
+                csprintf("unknown option '%s'", args[i].c_str()));
+        std::string value;
+        if (flag->value) {
+            if (++i == args.size())
+                throw UsageError(csprintf("%s wants a value", flag->name));
+            value = args[i];
+        }
+        flag->set(flag->name, value);
+        if (flag->forward) {
+            forwarded.push_back(flag->name);
+            if (flag->value)
+                forwarded.push_back(value);
+        }
+    }
+    return forwarded;
+}
+
+std::string
+flagUsage(const std::vector<Flag> &flags)
+{
+    const auto lhs = [](const Flag &f) {
+        return f.value ? std::string(f.name) + " " + f.value
+                       : std::string(f.name);
+    };
+    std::size_t width = 0;
+    for (const Flag &f : flags)
+        width = std::max(width, lhs(f).size());
+    std::string text;
+    for (const Flag &f : flags) {
+        text += csprintf("  %-*s  %s\n", static_cast<int>(width),
+                         lhs(f).c_str(), f.help);
+    }
+    return text;
+}
+
+std::vector<std::string>
+splitList(const std::string &csv)
+{
+    std::vector<std::string> out;
+    std::size_t start = 0;
+    while (start <= csv.size()) {
+        std::size_t comma = csv.find(',', start);
+        if (comma == std::string::npos)
+            comma = csv.size();
+        if (comma > start)
+            out.push_back(csv.substr(start, comma - start));
+        start = comma + 1;
+    }
+    return out;
 }
 
 } // namespace powerchop

@@ -1,7 +1,7 @@
 /**
  * @file
  * Centralized parsing of the POWERCHOP_* environment variables and of
- * numeric command-line flags.
+ * command-line flags.
  *
  * Every runtime override (instruction budget, worker count, fault
  * rates, output paths) funnels through these helpers so that all of
@@ -11,17 +11,23 @@
  * caller's default is used instead. Numeric flags follow the same
  * whole-string rules but are usage errors. Ad-hoc getenv()/strtoul()
  * call sites are not allowed outside this file.
+ *
+ * Each command-line tool declares its flags once, as a table of Flag
+ * entries: parseFlags() reads argv against the table and flagUsage()
+ * prints it.
  */
 
 #ifndef POWERCHOP_COMMON_ENV_HH
 #define POWERCHOP_COMMON_ENV_HH
 
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <optional>
 #include <stdexcept>
 #include <string>
 #include <type_traits>
+#include <vector>
 
 namespace powerchop
 {
@@ -90,6 +96,69 @@ parseNumber(const char *flag, const std::string &text, T lo = 0,
     else
         return parseDoubleFlag(flag, text, lo, hi);
 }
+
+/** One command-line flag, declared once. */
+struct Flag
+{
+    /** Parses and stores a value; gets the flag's name for its error
+     *  messages and "" for a switch. */
+    using Action =
+        std::function<void(const char *name, const std::string &value)>;
+
+    const char *name;  ///< "--insns".
+    const char *value; ///< Value placeholder ("N"); nullptr: a switch.
+    const char *help;  ///< One usage line.
+    Action set;
+    /** A sharded campaign hands this flag to its workers. */
+    bool forward = false;
+};
+
+/**
+ * Parse `args` against `flags`, running each flag's action in order,
+ * so the last value given wins.
+ * @return the tokens of the forwarded flags, verbatim and in order.
+ * @throws UsageError on an unknown flag or a missing value, and
+ *         whatever an action throws.
+ */
+std::vector<std::string> parseFlags(const std::vector<Flag> &flags,
+                                    const std::vector<std::string> &args);
+
+/** The usage text of `flags`: one "  --name VALUE  help" line each. */
+std::string flagUsage(const std::vector<Flag> &flags);
+
+/** The items of a comma-separated flag value; empty items dropped. */
+std::vector<std::string> splitList(const std::string &csv);
+
+/** Actions for the common flag shapes. @{ */
+inline Flag::Action
+setSwitch(bool &out)
+{
+    return [&out](const char *, const std::string &) { out = true; };
+}
+
+inline Flag::Action
+setText(std::string &out)
+{
+    return [&out](const char *, const std::string &v) { out = v; };
+}
+
+template <typename T>
+Flag::Action
+setNumber(T &out, T lo = 0, T hi = std::numeric_limits<T>::max())
+{
+    return [&out, lo, hi](const char *name, const std::string &value) {
+        out = parseNumber<T>(name, value, lo, hi);
+    };
+}
+
+/** A time-valued flag: the 1e9 s ceiling (about 31 years) keeps every
+ *  nanosecond deadline derived from it in range. */
+inline Flag::Action
+setSeconds(double &out)
+{
+    return setNumber(out, 0.0, 1e9);
+}
+/** @} */
 
 } // namespace powerchop
 

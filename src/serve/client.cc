@@ -11,6 +11,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include "common/clock.hh"
 #include "common/logging.hh"
 #include "common/random.hh"
 
@@ -23,13 +24,8 @@ clientRetryBackoffSeconds(const ClientRetryPolicy &policy,
 {
     if (attempt <= 1 || policy.backoffBaseSeconds <= 0)
         return 0;
-    double delay = policy.backoffBaseSeconds;
-    for (unsigned a = 2;
-         a < attempt && delay < policy.backoffMaxSeconds; ++a) {
-        delay *= 2;
-    }
-    if (delay > policy.backoffMaxSeconds)
-        delay = policy.backoffMaxSeconds;
+    const double delay = cappedBackoff(
+        policy.backoffBaseSeconds, policy.backoffMaxSeconds, attempt - 2);
     // Seeded jitter, a pure function of (seed, attempt): the same
     // discipline as the runner's retryBackoffSeconds, so concurrent
     // clients with distinct seeds decorrelate without wall-clock

@@ -102,7 +102,7 @@ parseSimSpec(const std::string &text, SimSpec &out, std::string &err)
         out.workloads.push_back(*it);
     }
     for (const std::string &m : out.machines) {
-        if (m != "server" && m != "mobile") {
+        if (!findMachine(m)) {
             err = csprintf("unknown machine \"%s\"", m.c_str());
             return false;
         }

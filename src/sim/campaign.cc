@@ -157,8 +157,7 @@ expandCampaignMatrix(const std::vector<WorkloadSpec> &workloads,
 {
     std::vector<MachineConfig> configs;
     for (const std::string &name : machines)
-        configs.push_back(name == "server" ? serverConfig()
-                                           : mobileConfig());
+        configs.push_back(machineByName(name));
     std::vector<SimJob> jobs;
     jobs.reserve(workloads.size() * configs.size() * modes.size());
     for (const WorkloadSpec &workload : workloads) {

@@ -56,10 +56,11 @@ std::vector<std::uint64_t> campaignJobKeys(const std::vector<SimJob> &jobs);
 
 /**
  * Expand a campaign matrix into jobs, workload-major: for each
- * workload, each machine ("server", otherwise mobile), each mode.
+ * workload, each machine (machineByName()), each mode.
  * The CLI's campaign, its shard workers and powerchopd's SIM all
  * expand through here, so one matrix always yields the same jobs in
  * the same order, and so the same content keys.
+ * @throws FatalError naming an unknown machine.
  */
 std::vector<SimJob>
 expandCampaignMatrix(const std::vector<WorkloadSpec> &workloads,

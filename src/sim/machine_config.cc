@@ -328,4 +328,22 @@ mobileConfig()
     return m;
 }
 
+std::optional<MachineConfig>
+findMachine(const std::string &name)
+{
+    if (name == "server")
+        return serverConfig();
+    if (name == "mobile")
+        return mobileConfig();
+    return std::nullopt;
+}
+
+MachineConfig
+machineByName(const std::string &name)
+{
+    if (std::optional<MachineConfig> m = findMachine(name))
+        return *m;
+    fatal("unknown machine '%s' (want server|mobile)", name.c_str());
+}
+
 } // namespace powerchop

@@ -8,6 +8,7 @@
 #ifndef POWERCHOP_SIM_MACHINE_CONFIG_HH
 #define POWERCHOP_SIM_MACHINE_CONFIG_HH
 
+#include <optional>
 #include <string>
 
 #include "bt/bt_system.hh"
@@ -100,6 +101,14 @@ MachineConfig serverConfig();
  * a local-only small predictor with a 512-entry BTB.
  */
 MachineConfig mobileConfig();
+
+/** The design point called `name` ("server" or "mobile"), or nullopt
+ *  for any other name. */
+std::optional<MachineConfig> findMachine(const std::string &name);
+
+/** findMachine() for a name the user gave.
+ *  @throws FatalError naming an unknown machine. */
+MachineConfig machineByName(const std::string &name);
 
 } // namespace powerchop
 

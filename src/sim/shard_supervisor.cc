@@ -101,18 +101,6 @@ childCpuSeconds()
     return secs(ru.ru_utime) + secs(ru.ru_stime);
 }
 
-/** Bounded exponential restart backoff (monotonic seconds). */
-double
-restartBackoff(unsigned restarts)
-{
-    double delay = kRestartBackoffBaseSeconds;
-    for (unsigned i = 1; i < restarts && delay < kRestartBackoffMaxSeconds;
-         ++i) {
-        delay *= 2;
-    }
-    return std::min(delay, kRestartBackoffMaxSeconds);
-}
-
 /** Everything the supervisor tracks about one shard, its worker
  *  process included. */
 struct ShardState
@@ -462,7 +450,9 @@ runShardedCampaign(const std::vector<SimJob> &jobs,
             }
             ++st.restarts;
             st.restartPending = true;
-            const double backoff = restartBackoff(st.restarts);
+            const double backoff =
+                cappedBackoff(kRestartBackoffBaseSeconds,
+                              kRestartBackoffMaxSeconds, st.restarts - 1);
             restart_backoff_ns.sample(
                 static_cast<std::uint64_t>(backoff * 1e9));
             st.nextSpawnAt = now + backoff;

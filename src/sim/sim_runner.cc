@@ -89,13 +89,8 @@ retryBackoffSeconds(const RobustRunOptions &opts,
     if (attempt <= 1 || opts.backoffBaseSeconds <= 0)
         return 0;
     // Bounded exponential growth...
-    double delay = opts.backoffBaseSeconds;
-    for (unsigned a = 2; a < attempt && delay < opts.backoffMaxSeconds;
-         ++a) {
-        delay *= 2;
-    }
-    if (delay > opts.backoffMaxSeconds)
-        delay = opts.backoffMaxSeconds;
+    const double delay = cappedBackoff(
+        opts.backoffBaseSeconds, opts.backoffMaxSeconds, attempt - 2);
     // ...plus seeded jitter: a pure function of (seed, job, attempt),
     // so totals reproduce exactly across runs and worker counts.
     Rng rng(opts.backoffSeed ^

@@ -69,22 +69,6 @@ DifferentialReport::toString() const
     return out.str();
 }
 
-namespace
-{
-
-MachineConfig
-machineByName(const std::string &name)
-{
-    if (name == "server")
-        return serverConfig();
-    if (name == "mobile")
-        return mobileConfig();
-    fatal("differential: unknown machine '%s' (want server|mobile)",
-          name.c_str());
-}
-
-} // namespace
-
 void
 enableFaults(MachineConfig &machine, std::uint64_t seed)
 {

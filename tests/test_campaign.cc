@@ -418,6 +418,25 @@ TEST(CampaignKey, StableForIdenticalJobsSensitiveToEveryKnob)
     EXPECT_EQ(campaignJobKey(telemetry_changed), key);
 }
 
+TEST(CampaignMatrix, UnknownMachineIsFatal)
+{
+    // A misspelt machine must not quietly run the mobile design point.
+    const std::vector<WorkloadSpec> workloads = {findWorkload("perlbench")};
+    try {
+        expandCampaignMatrix(workloads, {"server", "serevr"},
+                             {SimMode::FullPower}, 1000, 0);
+        FAIL() << "an unknown machine expanded";
+    } catch (const FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find("'serevr'"), std::string::npos)
+            << e.what();
+    }
+    const std::vector<SimJob> jobs = expandCampaignMatrix(
+        workloads, {"server", "mobile"}, {SimMode::FullPower}, 1000, 0);
+    ASSERT_EQ(jobs.size(), 2u);
+    EXPECT_EQ(jobs[0].machine.name, "server");
+    EXPECT_EQ(jobs[1].machine.name, "mobile");
+}
+
 // ---------------------------------------------------------------------
 // Campaign run / resume / recovery
 // ---------------------------------------------------------------------

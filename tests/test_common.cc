@@ -1,7 +1,7 @@
 /**
  * @file
  * Unit tests for the common substrate: logging, RNG, stats, integer
- * math, saturating counters and the stop latch.
+ * math, saturating counters, the stop latch and the flag table.
  */
 
 #include <chrono>
@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/env.hh"
 #include "common/intmath.hh"
 #include "common/logging.hh"
 #include "common/random.hh"
@@ -302,4 +303,87 @@ TEST(StopLatch, StopRequestOnTheOtherTokenWakesAWaiter)
     EXPECT_LT(std::chrono::steady_clock::now() - t0,
               std::chrono::seconds(10));
     requester.join();
+}
+
+// --- flag table ------------------------------------------------------------
+
+namespace
+{
+
+/** A tool's options: a number, a text, a switch, two forwarded. */
+struct FlagFixture
+{
+    unsigned count = 0;
+    std::string name;
+    bool verbose = false;
+    std::vector<Flag> flags = {
+        {"--count", "N", "a count", setNumber(count, 0u, 10u), true},
+        {"--name", "S", "a name", setText(name)},
+        {"--verbose", nullptr, "a switch", setSwitch(verbose), true},
+    };
+
+    std::vector<std::string>
+    parse(const std::vector<std::string> &args)
+    {
+        return parseFlags(flags, args);
+    }
+};
+
+} // namespace
+
+TEST(FlagTable, UnknownFlagOrMissingValueIsAUsageError)
+{
+    FlagFixture f;
+    EXPECT_THROW(f.parse({"--bogus"}), UsageError);
+    EXPECT_THROW(f.parse({"--name", "x", "--count"}), UsageError);
+    try {
+        f.parse({"--count"});
+        FAIL() << "a flag without its value parsed";
+    } catch (const UsageError &e) {
+        EXPECT_EQ(std::string(e.what()), "--count wants a value");
+    }
+    // The value goes through the flag's own checked parser.
+    EXPECT_THROW(f.parse({"--count", "11"}), UsageError);
+}
+
+TEST(FlagTable, SwitchTakesNoValue)
+{
+    FlagFixture f;
+    // The token after a switch is the next flag, not its value.
+    f.parse({"--verbose", "--name", "x"});
+    EXPECT_TRUE(f.verbose);
+    EXPECT_EQ(f.name, "x");
+    EXPECT_THROW(f.parse({"--verbose", "yes"}), UsageError);
+}
+
+TEST(FlagTable, LastValueWins)
+{
+    FlagFixture f;
+    f.parse({"--count", "3", "--name", "a", "--count", "7", "--name", "b"});
+    EXPECT_EQ(f.count, 7u);
+    EXPECT_EQ(f.name, "b");
+}
+
+TEST(FlagTable, ForwardedTokensComeOutVerbatimInOrder)
+{
+    FlagFixture f;
+    EXPECT_EQ(f.parse({"--name", "a", "--count", "07", "--verbose",
+                       "--count", "5"}),
+              (std::vector<std::string>{"--count", "07", "--verbose",
+                                        "--count", "5"}));
+    EXPECT_TRUE(f.parse({"--name", "a"}).empty());
+}
+
+TEST(FlagTable, UsageHasOneLinePerFlag)
+{
+    FlagFixture f;
+    EXPECT_EQ(flagUsage(f.flags), "  --count N  a count\n"
+                                  "  --name S   a name\n"
+                                  "  --verbose  a switch\n");
+}
+
+TEST(FlagTable, SplitListDropsEmptyItems)
+{
+    EXPECT_EQ(splitList("a,,b,"), (std::vector<std::string>{"a", "b"}));
+    EXPECT_TRUE(splitList("").empty());
 }

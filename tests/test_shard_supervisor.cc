@@ -18,10 +18,12 @@
 #include <fstream>
 #include <set>
 #include <sstream>
+#include <thread>
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
+#include "common/clock.hh"
 #include "common/journal.hh"
 #include "common/json.hh"
 #include "common/logging.hh"
@@ -30,6 +32,7 @@
 #include "sim/shard_supervisor.hh"
 #include "sim/statusboard.hh"
 #include "sim/sim_runner.hh"
+#include "sim/simulator.hh"
 #include "workload/spec_io.hh"
 #include "workload/suites.hh"
 
@@ -534,6 +537,62 @@ TEST(ShardedCampaign, WorkersGetTheJobTimeoutExactly)
     args.insert(args.end(), {"--shards", "2"});
     EXPECT_EQ(runCli(args).describe(), "exit 1");
     EXPECT_EQ(countsLine(args[1]), countsLine(ref));
+}
+
+TEST(ShardedCampaign, WorkersGetTheDrainGraceExactly)
+{
+    // `--drain-seconds 5` must reach the workers as typed, over the
+    // POWERCHOP_DRAIN_SECONDS=0 they inherit: the four jobs in flight
+    // at SIGINT then finish within the grace, as they do in one
+    // process, instead of being cut off at once and left resumable.
+    // Each job is sized to take about 0.8 s in this build, sanitizer
+    // builds included, so it is still running when the status
+    // snapshots show it and is done well inside the grace.
+    const double t0 = monotonicSeconds();
+    for (const char *workload : {"perlbench", "namd"}) {
+        for (SimMode mode : {SimMode::FullPower, SimMode::PowerChop}) {
+            SimOptions o;
+            o.mode = mode;
+            o.maxInstructions = 250'000;
+            simulate(serverConfig(), findWorkload(workload), o);
+        }
+    }
+    const double insnsPerSecond = 1e6 / (monotonicSeconds() - t0);
+    const auto insns = static_cast<InsnCount>(0.8 * insnsPerSecond);
+
+    const std::string dir = freshDir("drain");
+    SpawnOptions opts;
+    opts.argv = {POWERCHOP_CLI_PATH, "campaign", dir,
+                 "--workloads", "perlbench,namd",
+                 "--machine", "server",
+                 "--modes", "full-power,powerchop",
+                 "--insns", std::to_string(insns),
+                 "--shards", "2", "--drain-seconds", "5"};
+    opts.extraEnv = {"POWERCHOP_DRAIN_SECONDS=0", "POWERCHOP_JOBS=2"};
+    Subprocess p;
+    p.spawn(opts);
+    p.closeStdin();
+
+    const MonotonicDeadline give_up(120.0);
+    for (;;) {
+        std::size_t in_flight = 0;
+        for (const StatusEntry &e : readStatusDir(dir)) {
+            if (e.parsed && e.snap.role == "shard-worker")
+                in_flight += e.snap.inFlight.size();
+        }
+        if (in_flight == 4)
+            break;
+        ASSERT_TRUE(p.poll().running())
+            << "the campaign ended before all its jobs were in flight";
+        ASSERT_FALSE(give_up.expired());
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+    p.sendSignal(SIGINT);
+    std::string out;
+    EXPECT_EQ(p.wait(300.0, &out).describe(), "exit 3") << out;
+    EXPECT_EQ(countsLine(dir),
+              "{\"campaign\":{\"jobs\":4,\"ok\":4,\"failed\":0,"
+              "\"timed_out\":0,\"resumable\":0},");
 }
 
 TEST(ShardedCampaign, PermanentFailuresExitOneAndRerunOnResume)

@@ -2,16 +2,17 @@
  * @file
  * powerchop — the command-line driver.
  *
- * Subcommands:
- *   list                         List the 29 built-in workload models.
- *   show <workload>              Print a model's spec (spec_io text
- *                                form, usable as a template).
- *   run <workload> [options]     Simulate one workload.
- *   compare <workload> [options] Full-power vs PowerChop vs min-power.
- *   trace <workload> [options]   Simulate and write a Chrome
- *                                trace-event JSON timeline (opens in
- *                                Perfetto / chrome://tracing).
- *   campaign <dir> [options]     Run a durable sweep into <dir>:
+ * Subcommands (kCommands; `powerchop` alone prints them with every
+ * flag):
+ *   list, show <workload>        The 29 built-in workload models.
+ *   run <workload>               Simulate one workload. `trace` is run
+ *                                with --trace defaulting to --out,
+ *                                else <workload>.trace.json: a Chrome
+ *                                trace-event timeline for Perfetto /
+ *                                chrome://tracing.
+ *   compare <workload>           Full-power vs PowerChop vs min-power.
+ *   verify                       Differential oracle and goldens.
+ *   campaign <dir>               Run a durable sweep into <dir>:
  *                                every finished job is journaled
  *                                (write-ahead, fsync'd) before it
  *                                counts, SIGINT/SIGTERM drain
@@ -24,27 +25,23 @@
  *                                containment (restart with backoff);
  *                                the merged report.json and the exit
  *                                status match a single-process run.
- *   campaign-worker <dir> ...    Internal: one shard of a sharded
+ *   campaign-worker <dir>        Internal: one shard of a sharded
  *                                campaign. Reads assigned content
  *                                keys from stdin, journals to
  *                                --journal, reports done/heartbeat
  *                                lines on stdout.
- *   status <dir> [options]       Read a campaign's live statusboard
- *                                (<dir>/status/*.json): a one-shot
- *                                table by default, --follow to
- *                                redraw on an interval, --json for
- *                                machine output, --prom for a
- *                                Prometheus textfile exposition.
- *                                Exits 2 when <dir> holds no
- *                                snapshots (nothing running there).
- *   serve <dir> [options]        powerchopd: a long-lived daemon
+ *   status <dir>                 Read a campaign's live statusboard
+ *                                (the snapshots in <dir>/status).
+ *                                Exits 2 when <dir> holds none
+ *                                (nothing running there).
+ *   serve <dir>                  powerchopd: a long-lived daemon
  *                                serving simulation results over a
  *                                Unix/TCP socket from a content-
  *                                keyed LRU cache (misses simulate
  *                                through the campaign machinery;
  *                                the cache journal in <dir> makes
  *                                restarts warm).
- *   client [options]             One framed request against a
+ *   client                       One framed request against a
  *                                running powerchopd: --get KEY,
  *                                --stats, or matrix flags for a
  *                                SIM whose report is byte-identical
@@ -59,22 +56,11 @@
  * `<workload>` is either a built-in model name or a path to a spec
  * file (containing '/' or ending in .wl).
  *
- * Options:
- *   --machine server|mobile   Design point (default: by suite).
- *   --mode MODE               full-power | powerchop | min-power |
- *                             timeout-vpu | drowsy-mlc.
- *   --insns N                 Instruction budget (default 10000000).
- *   --timeout N               Timeout period in cycles (timeout-vpu).
- *   --save PATH               Write the workload spec to PATH.
- *   --trace PATH              Also write a trace (run/compare).
- *   --out PATH                Trace output path (trace; default
- *                             <workload>.trace.json).
- *   --metrics-out PATH        Write the per-window metrics CSV
- *                             (PowerChop mode; .jsonl writes JSONL).
- *
- * Unknown subcommands and options, and numeric values that do not
- * parse whole or fall outside the flag's range, print usage and exit
- * 2. --version prints the release and exits 0.
+ * Every flag is declared once, in cliFlags(), and every subcommand
+ * but list, show and version accepts all of them. Unknown subcommands
+ * and options, a flag without its value, and numeric values that do
+ * not parse whole or fall outside the flag's range print usage and
+ * exit 2. --version prints the release and exits 0.
  */
 
 #include <algorithm>
@@ -103,58 +89,6 @@ using namespace powerchop;
 
 namespace
 {
-
-int
-usage()
-{
-    std::fprintf(
-        stderr,
-        "usage: powerchop <command> [args]\n"
-        "  list\n"
-        "  show <workload>\n"
-        "  run <workload> [--machine server|mobile] [--mode MODE]\n"
-        "      [--insns N] [--timeout N] [--save PATH] [--json]\n"
-        "      [--trace PATH] [--metrics-out PATH]\n"
-        "  compare <workload> [--machine server|mobile] [--insns N]\n"
-        "  trace <workload> [--out PATH] [--mode MODE] [--insns N]\n"
-        "  verify [--insns N] [--workloads a,b,c] [--machine M]\n"
-        "      [--mode MODE] [--seeds s1,s2] [--goldens DIR]\n"
-        "      [--update-goldens] [--tol T]\n"
-        "  campaign <dir> [--workloads a,b,c] [--machine M]\n"
-        "      [--modes m1,m2] [--insns N] [--resume] [--inspect]\n"
-        "      [--timeout-seconds S] [--drain-seconds S]\n"
-        "      [--retries N] [--shards N] [--max-restarts N]\n"
-        "      [--heartbeat-seconds S]\n"
-        "  campaign-worker <dir> --journal PATH [matrix options]\n"
-        "      (internal: one shard of `campaign --shards`; reads\n"
-        "      assigned content keys from stdin, one 16-hex line\n"
-        "      each, and reports done/heartbeat lines on stdout)\n"
-        "  status <dir> [--json | --prom] [--follow] [--interval S]\n"
-        "      (exit 2 when <dir> holds no status snapshots)\n"
-        "  serve <dir> [--socket PATH | --port N] [--cache-mb N]\n"
-        "      [--timeout-seconds S] [--max-conns N] [--sim-queue N]\n"
-        "      [--backlog N] [--idle-timeout-seconds S]\n"
-        "      [--read-timeout-seconds S] [--write-timeout-seconds S]\n"
-        "      [--request-deadline-seconds S] [--drain-seconds S]\n"
-        "      [--compact-ratio R] [--compact-min-records N]\n"
-        "      (powerchopd: long-lived simulation service with a\n"
-        "      content-keyed LRU result cache, journaled to\n"
-        "      <dir>/cache.jsonl for warm restarts; default socket\n"
-        "      <dir>/powerchopd.sock; overload sheds BUSY; SIGTERM\n"
-        "      drains in-flight work and exits 3)\n"
-        "  client (--socket PATH | --port N) [--get KEY | --stats |\n"
-        "      matrix options] [--retries N] [--timeout-seconds S]\n"
-        "      (one request against a running powerchopd; SIM\n"
-        "      payloads are byte-identical to a direct campaign's\n"
-        "      report.json; retries reconnect with deterministic\n"
-        "      exponential backoff)\n"
-        "  --version\n"
-        "modes: full-power powerchop min-power timeout-vpu drowsy-mlc\n"
-        "run/compare/trace accept --audit (invariant-check results)\n"
-        "any subcommand accepts --profile (stage wall-clock table,\n"
-        "same as POWERCHOP_PROFILE=1)\n");
-    return 2;
-}
 
 WorkloadSpec
 resolveWorkload(const std::string &arg)
@@ -192,7 +126,7 @@ struct Args
 
     /** verify-only options. @{ */
     std::string workloads;
-    std::string seeds;
+    std::vector<std::uint64_t> seeds;
     std::string goldens;
     bool updateGoldens = false;
     double tol = 1e-6;
@@ -210,8 +144,9 @@ struct Args
 
     /** sharded-campaign / campaign-worker options. @{ */
     unsigned shards = 0; ///< 0 = in-process (unsharded) campaign.
-    unsigned maxRestarts = 3;
-    double heartbeatSeconds = 30.0;
+    /** Restarts, heartbeat timeout, and the forwarded flags' tokens
+     *  as workerArgs. */
+    ShardSupervisorOptions supervisor;
     std::string journal; ///< Shard journal (campaign-worker).
     /** @} */
 
@@ -227,149 +162,139 @@ struct Args
     double cacheMb = 256;     ///< Result-cache budget (MiB).
     std::optional<std::uint64_t> getKey; ///< client: GET this key.
     bool statsRequest = false; ///< client: STATS instead of SIM.
-    unsigned maxConns = 256;  ///< serve: connection cap (0 = off).
-    unsigned simQueue = 16;   ///< serve: SIM admission depth.
-    int backlog = 64;         ///< serve: listen(2) backlog.
-    double idleTimeoutSeconds = 300;   ///< serve: idle conn reap.
-    double readTimeoutSeconds = 30;    ///< serve: mid-frame read.
-    double writeTimeoutSeconds = 30;   ///< serve: response write.
-    double requestDeadlineSeconds = 0; ///< serve: SIM wall cap.
-    double compactRatio = 0.5; ///< serve: journal dead-ratio gate.
-    std::uint64_t compactMinRecords = 1024; ///< serve: floor.
+    ServeOptions serve; ///< serve: the knobs one flag each sets.
     /** @} */
-
-    /** --profile: CLI parity for POWERCHOP_PROFILE=1. */
-    bool profile = false;
 };
+
+/** Every flag of powerchop, each bound to the Args field it sets.
+ *  The forwarded ones are the matrix flags, from which a campaign-
+ *  worker rebuilds exactly the supervisor's job list, and the per-job
+ *  knobs. */
+std::vector<Flag>
+cliFlags(Args &a)
+{
+    return {
+        {"--machine", "M", "server | mobile (default: by suite; matrix both)",
+         setText(a.machine), true},
+        {"--mode", "MODE", "one of the modes below (default powerchop)",
+         [&a](const char *, const std::string &v) {
+             a.mode = parseMode(v);
+             a.modeSet = true;
+         },
+         true},
+        {"--insns", "N", "instruction budget (default 10M; matrix 200K)",
+         [&a](const char *name, const std::string &v) {
+             a.insns = parseNumber<InsnCount>(name, v, 1);
+             a.insnsSet = true;
+         },
+         true},
+        {"--timeout", "N", "timeout-vpu idle period in cycles",
+         setNumber(a.timeout), true},
+        {"--save", "PATH", "run: also write the workload spec to PATH",
+         setText(a.save)},
+        {"--json", nullptr, "run, status: print JSON", setSwitch(a.json)},
+        {"--trace", "PATH", "run: also write a Chrome trace to PATH",
+         setText(a.tracePath)},
+        {"--out", "PATH", "trace: the trace path", setText(a.out)},
+        {"--metrics-out", "PATH",
+         "run, powerchop mode: per-window CSV (or .jsonl)",
+         setText(a.metricsOut)},
+        {"--audit", nullptr, "run, compare: invariant-check the results",
+         setSwitch(a.audit)},
+        {"--workloads", "LIST", "matrix: default perlbench,namd,canneal,msn",
+         setText(a.workloads), true},
+        {"--modes", "LIST", "matrix: default --mode, else all five",
+         setText(a.modes), true},
+        {"--seeds", "LIST", "verify: fault seeds (default 0,1009)",
+         [&a](const char *name, const std::string &v) {
+             a.seeds.clear();
+             for (const std::string &s : splitList(v))
+                 a.seeds.push_back(parseNumber<std::uint64_t>(name, s));
+         }},
+        {"--goldens", "DIR", "verify: also check the goldens in DIR",
+         setText(a.goldens)},
+        {"--update-goldens", nullptr, "verify: rewrite the goldens instead",
+         setSwitch(a.updateGoldens)},
+        {"--tol", "T", "verify: golden tolerance (default 1e-6)",
+         setNumber(a.tol)},
+        {"--resume", nullptr, "campaign: skip journaled work",
+         setSwitch(a.resume)},
+        {"--inspect", nullptr, "campaign: summarize the journal only",
+         setSwitch(a.inspect)},
+        {"--timeout-seconds", "S",
+         "per-job watchdog; client: per-attempt deadline",
+         setSeconds(a.timeoutSeconds), true},
+        {"--retries", "N", "retries per job; client: per request",
+         setNumber(a.retries), true},
+        {"--drain-seconds", "S", "grace for in-flight work on SIGTERM (5)",
+         setSeconds(a.drainSeconds), true},
+        {"--shards", "N", "campaign: N supervised worker processes",
+         setNumber(a.shards)},
+        {"--max-restarts", "N", "campaign: restarts per shard (default 3)",
+         setNumber(a.supervisor.maxRestarts)},
+        {"--heartbeat-seconds", "S",
+         "campaign: a worker silent this long is hung (30)",
+         setSeconds(a.supervisor.heartbeatTimeoutSeconds)},
+        {"--journal", "PATH", "campaign-worker: the shard's journal",
+         setText(a.journal)},
+        {"--follow", nullptr, "status: redraw every --interval",
+         setSwitch(a.follow)},
+        {"--prom", nullptr, "status: Prometheus textfile exposition",
+         setSwitch(a.prom)},
+        {"--interval", "S", "status: redraw period (default 2)",
+         setSeconds(a.intervalSeconds)},
+        {"--socket", "PATH", "serve, client: Unix socket of powerchopd",
+         setText(a.socket)},
+        {"--port", "N", "serve, client: TCP port on 127.0.0.1 instead",
+         setNumber(a.port, 0u, 65535u)},
+        {"--get", "KEY", "client: GET the report under a content key",
+         [&a](const char *name, const std::string &v) {
+             std::uint64_t key = 0;
+             if (!parseContentKey(v, key)) {
+                 throw UsageError(csprintf(
+                     "%s wants a 1..16 hex-digit content key, got '%s'",
+                     name, v.c_str()));
+             }
+             a.getKey = key;
+         }},
+        {"--stats", nullptr, "client: STATS instead of a SIM",
+         setSwitch(a.statsRequest)},
+        {"--cache-mb", "N", "serve: result-cache budget in MiB (256)",
+         setNumber(a.cacheMb, 1e-6, 1e9)},
+        {"--max-conns", "N", "serve: connection cap, 0 = none (256)",
+         setNumber(a.serve.maxConnections)},
+        {"--sim-queue", "N", "serve: SIM admission depth (16)",
+         setNumber(a.serve.simQueueDepth)},
+        {"--backlog", "N", "serve: listen(2) backlog (64)",
+         setNumber(a.serve.listenBacklog)},
+        {"--idle-timeout-seconds", "S", "serve: idle connection reap (300)",
+         setSeconds(a.serve.idleTimeoutSeconds)},
+        {"--read-timeout-seconds", "S", "serve: mid-frame read (30)",
+         setSeconds(a.serve.readTimeoutSeconds)},
+        {"--write-timeout-seconds", "S", "serve: response write (30)",
+         setSeconds(a.serve.writeTimeoutSeconds)},
+        {"--request-deadline-seconds", "S", "serve: SIM wall cap (0 = none)",
+         setSeconds(a.serve.requestDeadlineSeconds)},
+        {"--compact-ratio", "R", "serve: journal dead ratio to compact (0.5)",
+         setNumber(a.serve.cache.compactDeadRatio, 0.0, 1.0)},
+        {"--compact-min-records", "N", "serve: compaction floor (1024)",
+         setNumber(a.serve.cache.compactMinRecords)},
+        // Arms the process-wide profiler POWERCHOP_PROFILE latched at
+        // global()'s first use. Forwarded, so that workers publish
+        // their own stage tables to the statusboard.
+        {"--profile", nullptr, "stage wall-clock table (POWERCHOP_PROFILE=1)",
+         [](const char *, const std::string &) {
+             telemetry::StageProfiler::global().setEnabled(true);
+         },
+         true},
+    };
+}
 
 Args
 parseOptions(const std::vector<std::string> &rest)
 {
     Args a;
-    for (std::size_t i = 0; i < rest.size(); ++i) {
-        auto need = [&](const char *what) -> const std::string & {
-            if (i + 1 >= rest.size())
-                fatal("%s requires a value", what);
-            return rest[++i];
-        };
-        // Time-valued flags (--*-seconds, --interval): the 1e9 s
-        // ceiling (about 31 years) keeps every nanosecond deadline
-        // derived from them in range.
-        auto seconds = [&](const char *what) {
-            return parseNumber(what, need(what), 0.0, 1e9);
-        };
-        if (rest[i] == "--machine")
-            a.machine = need("--machine");
-        else if (rest[i] == "--mode") {
-            a.mode = parseMode(need("--mode"));
-            a.modeSet = true;
-        } else if (rest[i] == "--insns") {
-            a.insns = parseNumber<InsnCount>("--insns", need("--insns"), 1);
-            a.insnsSet = true;
-        } else if (rest[i] == "--timeout")
-            a.timeout = parseNumber<double>("--timeout", need("--timeout"));
-        else if (rest[i] == "--save")
-            a.save = need("--save");
-        else if (rest[i] == "--json")
-            a.json = true;
-        else if (rest[i] == "--trace")
-            a.tracePath = need("--trace");
-        else if (rest[i] == "--metrics-out")
-            a.metricsOut = need("--metrics-out");
-        else if (rest[i] == "--out")
-            a.out = need("--out");
-        else if (rest[i] == "--audit")
-            a.audit = true;
-        else if (rest[i] == "--workloads")
-            a.workloads = need("--workloads");
-        else if (rest[i] == "--seeds")
-            a.seeds = need("--seeds");
-        else if (rest[i] == "--goldens")
-            a.goldens = need("--goldens");
-        else if (rest[i] == "--update-goldens")
-            a.updateGoldens = true;
-        else if (rest[i] == "--tol")
-            a.tol = parseNumber<double>("--tol", need("--tol"));
-        else if (rest[i] == "--modes")
-            a.modes = need("--modes");
-        else if (rest[i] == "--resume")
-            a.resume = true;
-        else if (rest[i] == "--inspect")
-            a.inspect = true;
-        else if (rest[i] == "--timeout-seconds")
-            a.timeoutSeconds = seconds("--timeout-seconds");
-        else if (rest[i] == "--drain-seconds")
-            a.drainSeconds = seconds("--drain-seconds");
-        else if (rest[i] == "--retries")
-            a.retries = parseNumber<unsigned>("--retries", need("--retries"));
-        else if (rest[i] == "--shards")
-            a.shards = parseNumber<unsigned>("--shards", need("--shards"));
-        else if (rest[i] == "--max-restarts")
-            a.maxRestarts = parseNumber<unsigned>("--max-restarts",
-                                                  need("--max-restarts"));
-        else if (rest[i] == "--heartbeat-seconds")
-            a.heartbeatSeconds = seconds("--heartbeat-seconds");
-        else if (rest[i] == "--journal")
-            a.journal = need("--journal");
-        else if (rest[i] == "--follow")
-            a.follow = true;
-        else if (rest[i] == "--prom")
-            a.prom = true;
-        else if (rest[i] == "--interval")
-            a.intervalSeconds = seconds("--interval");
-        else if (rest[i] == "--socket")
-            a.socket = need("--socket");
-        else if (rest[i] == "--port")
-            a.port = parseNumber<unsigned>("--port", need("--port"), 0,
-                                           65535);
-        else if (rest[i] == "--cache-mb")
-            a.cacheMb = parseNumber<double>("--cache-mb", need("--cache-mb"),
-                                            1e-6, 1e9);
-        else if (rest[i] == "--get") {
-            std::uint64_t key = 0;
-            if (!parseContentKey(need("--get"), key)) {
-                throw UsageError(csprintf(
-                    "--get wants a 1..16 hex-digit content key, got "
-                    "'%s'", rest[i].c_str()));
-            }
-            a.getKey = key;
-        }
-        else if (rest[i] == "--stats")
-            a.statsRequest = true;
-        else if (rest[i] == "--max-conns")
-            a.maxConns = parseNumber<unsigned>("--max-conns",
-                                               need("--max-conns"));
-        else if (rest[i] == "--sim-queue")
-            a.simQueue = parseNumber<unsigned>("--sim-queue",
-                                               need("--sim-queue"));
-        else if (rest[i] == "--backlog")
-            a.backlog = parseNumber<int>("--backlog", need("--backlog"));
-        else if (rest[i] == "--idle-timeout-seconds")
-            a.idleTimeoutSeconds = seconds("--idle-timeout-seconds");
-        else if (rest[i] == "--read-timeout-seconds")
-            a.readTimeoutSeconds = seconds("--read-timeout-seconds");
-        else if (rest[i] == "--write-timeout-seconds")
-            a.writeTimeoutSeconds = seconds("--write-timeout-seconds");
-        else if (rest[i] == "--request-deadline-seconds")
-            a.requestDeadlineSeconds =
-                seconds("--request-deadline-seconds");
-        else if (rest[i] == "--compact-ratio")
-            a.compactRatio = parseNumber<double>(
-                "--compact-ratio", need("--compact-ratio"), 0.0, 1.0);
-        else if (rest[i] == "--compact-min-records")
-            a.compactMinRecords = parseNumber<std::uint64_t>(
-                "--compact-min-records", need("--compact-min-records"));
-        else if (rest[i] == "--profile")
-            a.profile = true;
-        else
-            throw UsageError(csprintf("unknown option '%s'",
-                                      rest[i].c_str()));
-    }
-    // --profile arms the process-wide profiler that POWERCHOP_PROFILE
-    // latched at global()'s first use; doing it in the option funnel
-    // covers every subcommand with one line.
-    if (a.profile)
-        telemetry::StageProfiler::global().setEnabled(true);
+    a.supervisor.workerArgs = parseFlags(cliFlags(a), rest);
     return a;
 }
 
@@ -390,8 +315,8 @@ flightRecorderEnabled()
 }
 /** @} */
 
-/** Attach telemetry sinks requested by flags; returns the trace
- *  recorder when --trace / trace's --out asked for one. */
+/** Write the trace and metrics files the flags asked for. The
+ *  "wrote" notes go to stderr, so stdout stays the result alone. */
 void
 writeTelemetry(const Args &a, const std::string &trace_path,
                const telemetry::TraceRecorder &trace,
@@ -400,14 +325,14 @@ writeTelemetry(const Args &a, const std::string &trace_path,
     if (!trace_path.empty()) {
         if (!telemetry::writeChromeTrace(trace_path, {&trace}))
             fatal("cannot write trace to '%s'", trace_path.c_str());
-        std::printf("wrote %s (%zu events%s)\n", trace_path.c_str(),
-                    trace.events().size(),
-                    trace.droppedEvents()
-                        ? csprintf(", %llu dropped",
-                                   static_cast<unsigned long long>(
-                                       trace.droppedEvents()))
-                              .c_str()
-                        : "");
+        inform("wrote %s (%zu events%s)", trace_path.c_str(),
+               trace.events().size(),
+               trace.droppedEvents()
+                   ? csprintf(", %llu dropped",
+                              static_cast<unsigned long long>(
+                                  trace.droppedEvents()))
+                         .c_str()
+                   : "");
     }
     if (!a.metricsOut.empty()) {
         const bool jsonl =
@@ -418,20 +343,16 @@ writeTelemetry(const Args &a, const std::string &trace_path,
         if (!ok)
             fatal("cannot write metrics to '%s'",
                   a.metricsOut.c_str());
-        std::printf("wrote %s (%zu windows)\n", a.metricsOut.c_str(),
-                    metrics.rows().size());
+        inform("wrote %s (%zu windows)", a.metricsOut.c_str(),
+               metrics.rows().size());
     }
 }
 
 MachineConfig
 resolveMachine(const Args &a, const WorkloadSpec &w)
 {
-    if (a.machine == "server")
-        return serverConfig();
-    if (a.machine == "mobile")
-        return mobileConfig();
     if (!a.machine.empty())
-        fatal("unknown machine '%s'", a.machine.c_str());
+        return machineByName(a.machine);
     return w.suite == Suite::MobileBench ? mobileConfig()
                                          : serverConfig();
 }
@@ -472,7 +393,7 @@ printResult(const SimResult &r)
 }
 
 int
-cmdList()
+cmdList(const std::string &, const Args &)
 {
     std::printf("%-15s %-12s %7s %9s\n", "name", "suite", "phases",
                 "schedule");
@@ -486,20 +407,22 @@ cmdList()
 }
 
 int
-cmdShow(const std::string &name)
+cmdShow(const std::string &name, const Args &)
 {
     std::fputs(formatWorkloadSpec(resolveWorkload(name)).c_str(),
                stdout);
     return 0;
 }
 
+/** run; and trace, for which `traceByDefault` defaults --trace to
+ *  --out, else to <workload>.trace.json. */
 int
-cmdRun(const std::string &name, const Args &a)
+cmdRun(const std::string &name, const Args &a, bool traceByDefault = false)
 {
     WorkloadSpec w = resolveWorkload(name);
     if (!a.save.empty()) {
         saveWorkloadSpec(w, a.save);
-        std::printf("wrote %s\n", a.save.c_str());
+        inform("wrote %s", a.save.c_str());
     }
     MachineConfig m = resolveMachine(a, w);
     SimOptions opts;
@@ -508,9 +431,12 @@ cmdRun(const std::string &name, const Args &a)
     opts.timeoutCycles = a.timeout;
     opts.audit = a.audit;
 
+    std::string trace_path = a.tracePath;
+    if (traceByDefault && trace_path.empty())
+        trace_path = !a.out.empty() ? a.out : w.name + ".trace.json";
     telemetry::TraceRecorder trace;
     telemetry::MetricsRegistry metrics;
-    if (!a.tracePath.empty())
+    if (!trace_path.empty())
         opts.trace = &trace;
     if (!a.metricsOut.empty()) {
         if (a.mode != SimMode::PowerChop)
@@ -523,33 +449,7 @@ cmdRun(const std::string &name, const Args &a)
         std::printf("%s\n", r.toJson().c_str());
     else
         printResult(r);
-    writeTelemetry(a, a.tracePath, trace, metrics);
-    return 0;
-}
-
-int
-cmdTrace(const std::string &name, const Args &a)
-{
-    WorkloadSpec w = resolveWorkload(name);
-    MachineConfig m = resolveMachine(a, w);
-    SimOptions opts;
-    opts.mode = a.mode;
-    opts.maxInstructions = a.insns;
-    opts.timeoutCycles = a.timeout;
-    opts.audit = a.audit;
-
-    telemetry::TraceRecorder trace;
-    telemetry::MetricsRegistry metrics;
-    opts.trace = &trace;
-    if (!a.metricsOut.empty() && a.mode == SimMode::PowerChop)
-        opts.metrics = &metrics;
-
-    SimResult r = simulate(m, w, opts);
-    printResult(r);
-
-    const std::string path =
-        !a.out.empty() ? a.out : w.name + ".trace.json";
-    writeTelemetry(a, path, trace, metrics);
+    writeTelemetry(a, trace_path, trace, metrics);
     return 0;
 }
 
@@ -584,22 +484,6 @@ cmdCompare(const std::string &name, const Args &a)
                 pct(runs.powerChop.leakageReductionVs(runs.fullPower))
                     .c_str());
     return 0;
-}
-
-std::vector<std::string>
-splitList(const std::string &csv)
-{
-    std::vector<std::string> out;
-    std::size_t start = 0;
-    while (start <= csv.size()) {
-        std::size_t comma = csv.find(',', start);
-        if (comma == std::string::npos)
-            comma = csv.size();
-        if (comma > start)
-            out.push_back(csv.substr(start, comma - start));
-        start = comma + 1;
-    }
-    return out;
 }
 
 /** The campaign matrix the flags name, by axis: --workloads,
@@ -659,7 +543,7 @@ buildCampaignJobs(const Args &a)
 }
 
 int
-cmdVerify(const Args &a)
+cmdVerify(const std::string &, const Args &a)
 {
     // verify's default budget, the default matrix's, favours CI
     // latency over figure quality: 200k instructions crosses many HTB
@@ -675,16 +559,12 @@ cmdVerify(const Args &a)
         matrix.machines = {a.machine};
     if (a.modeSet)
         matrix.modes = {a.mode};
-    if (!a.seeds.empty()) {
-        for (const auto &s : splitList(a.seeds))
-            matrix.faultSeeds.push_back(
-                parseNumber<std::uint64_t>("--seeds", s));
-    } else {
-        // Fault-free plus one faulty seed: the differential contract
-        // holds under injected faults too (both loops share the
-        // deterministic per-run fault stream).
-        matrix.faultSeeds = {0, 1009};
-    }
+    // By default fault-free plus one faulty seed: the differential
+    // contract holds under injected faults too (both loops share the
+    // deterministic per-run fault stream).
+    matrix.faultSeeds = !a.seeds.empty()
+        ? a.seeds
+        : std::vector<std::uint64_t>{0, 1009};
 
     std::printf("differential: optimized simulate() vs reference "
                 "oracle, %llu insns/case\n",
@@ -743,56 +623,6 @@ cmdVerify(const Args &a)
     return (report.ok() && golden_ok) ? 0 : 1;
 }
 
-/** The flags to forward to campaign-worker processes: the matrix
- *  flags, so they rebuild exactly the supervisor's job list, and the
- *  per-job knobs, each written so it reads back exactly. */
-std::vector<std::string>
-matrixWorkerArgs(const Args &a)
-{
-    std::vector<std::string> args;
-    if (!a.workloads.empty()) {
-        args.push_back("--workloads");
-        args.push_back(a.workloads);
-    }
-    if (!a.machine.empty()) {
-        args.push_back("--machine");
-        args.push_back(a.machine);
-    }
-    if (!a.modes.empty()) {
-        args.push_back("--modes");
-        args.push_back(a.modes);
-    } else if (a.modeSet) {
-        args.push_back("--mode");
-        args.push_back(simModeName(a.mode));
-    }
-    if (a.insnsSet) {
-        args.push_back("--insns");
-        args.push_back(csprintf(
-            "%llu", static_cast<unsigned long long>(a.insns)));
-    }
-    if (a.timeout != 0) {
-        args.push_back("--timeout");
-        args.push_back(csprintf("%.17g", a.timeout));
-    }
-    if (a.timeoutSeconds != 0) {
-        args.push_back("--timeout-seconds");
-        args.push_back(csprintf("%.17g", a.timeoutSeconds));
-    }
-    if (a.retries != 0) {
-        args.push_back("--retries");
-        args.push_back(csprintf("%u", a.retries));
-    }
-    if (a.drainSeconds != 5.0) {
-        args.push_back("--drain-seconds");
-        args.push_back(csprintf("%.17g", a.drainSeconds));
-    }
-    // Not matrix-defining, but per-process: workers must arm their
-    // own profiler to contribute stage tables to the statusboard.
-    if (a.profile)
-        args.push_back("--profile");
-    return args;
-}
-
 int
 cmdStatus(const std::string &dir, const Args &a)
 {
@@ -840,7 +670,7 @@ cmdServe(const std::string &dir, const Args &a)
     makeCampaignDirs(dir);
     installCampaignSignalHandlers();
 
-    ServeOptions sopts;
+    ServeOptions sopts = a.serve;
     if (a.port != 0)
         sopts.port = static_cast<unsigned short>(a.port);
     else
@@ -849,16 +679,7 @@ cmdServe(const std::string &dir, const Args &a)
     sopts.cache.maxBytes =
         static_cast<std::size_t>(a.cacheMb * (1u << 20));
     sopts.cache.journalPath = dir + "/cache.jsonl";
-    sopts.cache.compactDeadRatio = a.compactRatio;
-    sopts.cache.compactMinRecords = a.compactMinRecords;
     sopts.jobTimeoutSeconds = a.timeoutSeconds;
-    sopts.listenBacklog = a.backlog;
-    sopts.maxConnections = a.maxConns;
-    sopts.simQueueDepth = a.simQueue;
-    sopts.idleTimeoutSeconds = a.idleTimeoutSeconds;
-    sopts.readTimeoutSeconds = a.readTimeoutSeconds;
-    sopts.writeTimeoutSeconds = a.writeTimeoutSeconds;
-    sopts.requestDeadlineSeconds = a.requestDeadlineSeconds;
     sopts.drainSeconds = a.drainSeconds;
     sopts.stopFlag = &campaignInterruptFlag();
     if (statusboardEnabled()) {
@@ -881,7 +702,7 @@ cmdServe(const std::string &dir, const Args &a)
 }
 
 int
-cmdClient(const Args &a)
+cmdClient(const std::string &, const Args &a)
 {
     if (a.socket.empty() && a.port == 0)
         fatal("client requires --socket PATH or --port N");
@@ -959,17 +780,17 @@ finishCampaign(const std::string &dir, const CampaignResult &res)
 }
 
 int
-cmdShardedCampaign(const std::string &dir, const Args &a)
+cmdShardedCampaign(const std::string &dir, const Args &a,
+                   const std::vector<SimJob> &jobs)
 {
     installCampaignSignalHandlers();
 
-    ShardSupervisorOptions sopts;
+    // The workers get the forwarded flags as typed (workerArgs), so
+    // they parse exactly what this process parsed.
+    ShardSupervisorOptions sopts = a.supervisor;
     sopts.shards = a.shards;
     sopts.resume = a.resume;
-    sopts.maxRestarts = a.maxRestarts;
-    sopts.heartbeatTimeoutSeconds = a.heartbeatSeconds;
     sopts.drainSeconds = a.drainSeconds;
-    sopts.workerArgs = matrixWorkerArgs(a);
     sopts.publishStatus = statusboardEnabled();
     if (flightRecorderEnabled())
         FlightRecorder::global().enable(dir + "/flight.jsonl");
@@ -983,7 +804,7 @@ cmdShardedCampaign(const std::string &dir, const Args &a)
     };
 
     const ShardSupervisorResult res =
-        runShardedCampaign(buildCampaignJobs(a), dir, sopts);
+        runShardedCampaign(jobs, dir, sopts);
 
     // The supervision trajectory rides the same BENCH file the
     // runner benches append to, so crash/restart counts are tracked
@@ -1163,14 +984,14 @@ cmdCampaign(const std::string &dir, const Args &a)
         return 0;
     }
 
-    // --shards hands the whole campaign to the process supervisor:
-    // same matrix, same directory, same report bytes.
-    if (a.shards > 0)
-        return cmdShardedCampaign(dir, a);
-
     // The matrix, in canonical order (workload-major): the same
     // defaults as verify's golden sweep.
     const std::vector<SimJob> jobs = buildCampaignJobs(a);
+
+    // --shards hands the whole campaign to the process supervisor:
+    // same matrix, same directory, same report bytes.
+    if (a.shards > 0)
+        return cmdShardedCampaign(dir, a, jobs);
 
     installCampaignSignalHandlers();
     SimJobRunner runner;
@@ -1199,65 +1020,93 @@ cmdCampaign(const std::string &dir, const Args &a)
     return finishCampaign(dir, runCampaign(runner, jobs, dir, copts));
 }
 
+/** A subcommand: its positional argument (nullptr: none), one usage
+ *  line, its body, and whether it takes the flags. */
+struct Command
+{
+    const char *name;
+    const char *arg;
+    const char *help;
+    int (*run)(const std::string &arg, const Args &a);
+    bool takesFlags = true;
+};
+
+int
+cmdVersion(const std::string &, const Args &)
+{
+    std::printf("powerchop %s\n", POWERCHOP_VERSION);
+    return 0;
+}
+
+const Command kCommands[] = {
+    {"list", nullptr, "the 29 built-in workload models", cmdList, false},
+    {"show", "<workload>", "a model's spec, as a .wl template", cmdShow,
+     false},
+    {"run", "<workload>", "simulate one workload",
+     [](const std::string &w, const Args &a) { return cmdRun(w, a); }},
+    {"trace", "<workload>", "run with --trace: --out or <workload>.trace.json",
+     [](const std::string &w, const Args &a) { return cmdRun(w, a, true); }},
+    {"compare", "<workload>", "full-power vs PowerChop vs min-power",
+     cmdCompare},
+    {"verify", nullptr, "differential oracle (and --goldens)", cmdVerify},
+    {"campaign", "<dir>", "durable, resumable sweep of the matrix",
+     cmdCampaign},
+    {"campaign-worker", "<dir>", "internal: one shard of campaign --shards",
+     cmdCampaignWorker},
+    {"status", "<dir>", "a campaign's live statusboard", cmdStatus},
+    {"serve", "<dir>", "powerchopd, the simulation daemon", cmdServe},
+    {"client", nullptr, "one request against a running powerchopd",
+     cmdClient},
+    {"version", nullptr, "print the release", cmdVersion, false},
+    {"--version", nullptr, "print the release", cmdVersion, false},
+};
+
+int
+usage()
+{
+    std::string text = "usage: powerchop <command> [options]\n";
+    for (const Command &c : kCommands) {
+        const std::string lhs =
+            c.arg ? std::string(c.name) + " " + c.arg : c.name;
+        text += csprintf("  %-28s  %s\n", lhs.c_str(), c.help);
+    }
+    Args unused;
+    text += "options (every command but list, show and version):\n" +
+            flagUsage(cliFlags(unused)) +
+            "modes: full-power powerchop min-power timeout-vpu "
+            "drowsy-mlc\n";
+    std::fputs(text.c_str(), stderr);
+    return 2;
+}
+
 } // namespace
 
 int
 main(int argc, char **argv)
 {
-    if (argc < 2)
+    const std::vector<std::string> args(argv + 1, argv + argc);
+    const auto cmd = std::find_if(
+        std::begin(kCommands), std::end(kCommands), [&](const Command &c) {
+            return !args.empty() && args[0] == c.name;
+        });
+    // The flags follow the positional argument, if any.
+    const std::size_t first = cmd != std::end(kCommands) && cmd->arg ? 2 : 1;
+    if (cmd == std::end(kCommands) || args.size() < first ||
+        (!cmd->takesFlags && args.size() > first))
         return usage();
 
-    std::vector<std::string> rest;
-    for (int i = 3; i < argc; ++i)
-        rest.emplace_back(argv[i]);
-
     try {
-        std::string cmd = argv[1];
-        if (cmd == "--version" || cmd == "version") {
-            std::printf("powerchop %s\n", POWERCHOP_VERSION);
-            return 0;
-        }
-        if (cmd == "list" && argc == 2)
-            return cmdList();
-        if (cmd == "show" && argc == 3)
-            return cmdShow(argv[2]);
-        if (cmd == "run" && argc >= 3)
-            return cmdRun(argv[2], parseOptions(rest));
-        if (cmd == "compare" && argc >= 3)
-            return cmdCompare(argv[2], parseOptions(rest));
-        if (cmd == "trace" && argc >= 3)
-            return cmdTrace(argv[2], parseOptions(rest));
-        if (cmd == "campaign" && argc >= 3)
-            return cmdCampaign(argv[2], parseOptions(rest));
-        if (cmd == "campaign-worker" && argc >= 3)
-            return cmdCampaignWorker(argv[2], parseOptions(rest));
-        if (cmd == "status" && argc >= 3)
-            return cmdStatus(argv[2], parseOptions(rest));
-        if (cmd == "serve" && argc >= 3)
-            return cmdServe(argv[2], parseOptions(rest));
-        if (cmd == "client") {
-            // client has no positional: every argv after the
-            // subcommand is an option (the daemon address flags).
-            std::vector<std::string> crest;
-            for (int i = 2; i < argc; ++i)
-                crest.emplace_back(argv[i]);
-            return cmdClient(parseOptions(crest));
-        }
-        if (cmd == "verify") {
-            // verify has no <workload> positional: every argv after
-            // the subcommand is an option.
-            std::vector<std::string> vrest;
-            for (int i = 2; i < argc; ++i)
-                vrest.emplace_back(argv[i]);
-            return cmdVerify(parseOptions(vrest));
-        }
+        return cmd->run(cmd->arg ? args[1] : "",
+                        parseOptions({args.begin() + first, args.end()}));
     } catch (const UsageError &e) {
         std::fprintf(stderr, "%s\n", e.what());
         return usage();
+    } catch (const FatalError &) {
+        return 1; // fatal() printed the message.
+    } catch (const PanicError &) {
+        return 1; // panic() printed the message.
     } catch (const std::exception &e) {
         std::fprintf(stderr, "%s\n", e.what());
         return 1;
     }
-    // Unknown subcommand (or malformed arity): usage, exit 2.
-    return usage();
 }
