@@ -41,10 +41,8 @@ struct KeyPoint
     std::string spec;
 };
 
-} // namespace
-
 int
-main(int argc, char **argv)
+runBench(int argc, char **argv)
 {
     std::string socketPath;
     unsigned port = 0;
@@ -314,4 +312,16 @@ main(int argc, char **argv)
     appendJsonArrayEntryOk(path, entry);
 
     return done > 0 ? 0 : 1;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    try {
+        return runBench(argc, argv);
+    } catch (const FatalError &) {
+        return 1; // fatal() printed the message.
+    }
 }

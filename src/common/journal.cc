@@ -4,7 +4,9 @@
 #include <cerrno>
 #include <cstring>
 #include <fstream>
+#include <iterator>
 #include <sstream>
+#include <unordered_map>
 
 #include <sys/stat.h>
 #include <unistd.h>
@@ -77,6 +79,34 @@ expectAt(const std::string &s, std::size_t &pos, const char *expect)
         return false;
     pos += n;
     return true;
+}
+
+/** How every record begins. */
+constexpr const char kRecordStart[] = "{\"key\":\"";
+
+/**
+ * Parse one line, whole or past a torn prefix. A crash mid-append
+ * leaves a record without its newline, and the next append lands
+ * right after it, so a line that fails whole may still end in a
+ * complete record: it is parsed again from each later record start,
+ * last first. `tornPrefix` reports a record recovered that way.
+ */
+bool
+parseRecordLine(const std::string &line, JournalRecord &out,
+                bool &tornPrefix)
+{
+    tornPrefix = false;
+    if (parseJournalLine(line, out))
+        return true;
+    for (std::size_t pos = line.rfind(kRecordStart);
+         pos != std::string::npos && pos > 0;
+         pos = line.rfind(kRecordStart, pos - 1)) {
+        if (parseJournalLine(line.substr(pos), out)) {
+            tornPrefix = true;
+            return true;
+        }
+    }
+    return false;
 }
 
 } // namespace
@@ -189,6 +219,8 @@ loadJournal(const std::string &path)
     const bool ends_with_newline =
         !text.empty() && text.back() == '\n';
 
+    // Key -> index in records: last write wins in linear time.
+    std::unordered_map<std::uint64_t, std::size_t> index;
     std::size_t start = 0;
     while (start < text.size()) {
         std::size_t end = text.find('\n', start);
@@ -202,7 +234,8 @@ loadJournal(const std::string &path)
         ++replay.lines;
 
         JournalRecord rec;
-        if (!parseJournalLine(line, rec)) {
+        bool torn_prefix = false;
+        if (!parseRecordLine(line, rec, torn_prefix)) {
             if (final_fragment && !ends_with_newline) {
                 // A write torn by a crash mid-record: the job simply
                 // reruns. Expected after a SIGKILL, so no warning.
@@ -215,15 +248,17 @@ loadJournal(const std::string &path)
             }
             continue;
         }
+        replay.truncated += torn_prefix;
 
-        const std::size_t existing = replay.find(rec.key);
-        if (existing != JournalReplay::npos) {
+        const auto [it, fresh] =
+            index.emplace(rec.key, replay.records.size());
+        if (fresh) {
+            replay.records.push_back(std::move(rec));
+        } else {
             // Last write wins: a resumed campaign's rerun supersedes
             // the earlier record for the same job.
-            replay.records[existing] = std::move(rec);
+            replay.records[it->second] = std::move(rec);
             ++replay.duplicates;
-        } else {
-            replay.records.push_back(std::move(rec));
         }
     }
     return replay;
@@ -236,6 +271,29 @@ loadJournalIfPresent(const std::string &path)
     if (::stat(path.c_str(), &st) != 0 && errno == ENOENT)
         return JournalReplay{}; // no journal yet: a fresh campaign
     return loadJournal(path);
+}
+
+std::vector<JournalRecord>
+readJournalFrom(const std::string &path, std::uint64_t &offset)
+{
+    std::ifstream in(path, std::ios::binary);
+    in.seekg(static_cast<std::streamoff>(offset));
+    const std::string text{std::istreambuf_iterator<char>(in), {}};
+
+    // Only complete lines: one still being appended waits for the
+    // next call.
+    std::vector<JournalRecord> records;
+    std::size_t start = 0;
+    for (std::size_t nl; (nl = text.find('\n', start)) != std::string::npos;
+         start = nl + 1) {
+        JournalRecord rec;
+        bool torn_prefix = false;
+        if (parseRecordLine(text.substr(start, nl - start), rec,
+                            torn_prefix))
+            records.push_back(std::move(rec));
+    }
+    offset += start;
+    return records;
 }
 
 JournalWriter::JournalWriter(const std::string &path) : path_(path)

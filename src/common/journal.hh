@@ -16,7 +16,8 @@
  * The writer appends and fsyncs record-by-record (write-ahead: a job's
  * record is durable before the campaign counts it done). The reader
  * tolerates every torn-file shape a SIGKILL can produce: a truncated
- * final line is silently dropped (the job just reruns), an interior
+ * final line is silently dropped (the job just reruns), a record a
+ * later run appended onto such a torn line is still read, an interior
  * line with a bad checksum is skipped with a warning, and duplicate
  * keys resolve last-write-wins (a rerun's record supersedes).
  */
@@ -70,7 +71,9 @@ struct JournalReplay
 
     std::size_t lines = 0;      ///< Physical lines seen.
     std::size_t corrupted = 0;  ///< Interior lines failing the CRC.
-    std::size_t truncated = 0;  ///< Torn final line (0 or 1).
+    /** Torn records: a final line cut short, and the torn bytes
+     *  before a record appended onto them. */
+    std::size_t truncated = 0;
     std::size_t duplicates = 0; ///< Superseded earlier records.
 
     /** @return the index of `key` in records, or npos. */
@@ -99,6 +102,16 @@ JournalReplay loadJournal(const std::string &path);
  * still throws IoError like loadJournal().
  */
 JournalReplay loadJournalIfPresent(const std::string &path);
+
+/**
+ * Tail a journal another process appends to: the valid records on the
+ * complete lines after byte `offset`, in file order and not deduped.
+ * `offset` advances past the last newline, so a line still being
+ * written is read by a later call. A file not created yet (or
+ * unreadable) holds no records.
+ */
+std::vector<JournalRecord> readJournalFrom(const std::string &path,
+                                           std::uint64_t &offset);
 
 /**
  * Append-only journal writer with per-record durability.

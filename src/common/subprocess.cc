@@ -4,12 +4,10 @@
 #include <chrono>
 #include <csignal>
 #include <cstring>
-#include <mutex>
 #include <thread>
 #include <utility>
 
 #include <fcntl.h>
-#include <poll.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -28,16 +26,6 @@ namespace powerchop
 
 namespace
 {
-
-/** A worker dying between our poll() and writeStdin() must surface
- *  as EPIPE, not kill the supervisor with SIGPIPE. Installed once,
- *  lazily, so programs that never spawn children keep the default. */
-void
-ignoreSigpipeOnce()
-{
-    static std::once_flag once;
-    std::call_once(once, [] { ::signal(SIGPIPE, SIG_IGN); });
-}
 
 void
 setNonBlocking(int fd)
@@ -125,7 +113,6 @@ Subprocess::spawn(const SpawnOptions &opts)
 {
     panicIf(opts.argv.empty(), "Subprocess::spawn needs an argv[0]");
     panicIf(pid_ > 0, "Subprocess::spawn called twice");
-    ignoreSigpipeOnce();
 
     int in_pipe[2] = {-1, -1};  // parent writes [1], child reads [0]
     int out_pipe[2] = {-1, -1}; // child writes [1], parent reads [0]
@@ -215,55 +202,12 @@ Subprocess::spawn(const SpawnOptions &opts)
     if (opts.pipeStdin) {
         ::close(in_pipe[0]);
         stdinFd_ = in_pipe[1];
-        // Nonblocking like stdout: a wedged worker must not freeze
-        // the supervisor inside write(2) with no way to observe the
-        // child's death. writeStdin() polls for writability instead.
-        setNonBlocking(stdinFd_);
     }
     if (opts.pipeStdout) {
         ::close(out_pipe[1]);
         stdoutFd_ = out_pipe[0];
         setNonBlocking(stdoutFd_);
     }
-}
-
-bool
-Subprocess::writeStdin(const std::string &data)
-{
-    panicIf(stdinFd_ < 0, "writeStdin without a stdin pipe");
-    std::size_t off = 0;
-    while (off < data.size()) {
-        const ssize_t n = ::write(stdinFd_, data.data() + off,
-                                  data.size() - off);
-        if (n > 0) {
-            off += static_cast<std::size_t>(n);
-            continue;
-        }
-        if (n < 0 && errno == EINTR)
-            continue;
-        if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-            // Pipe buffer full (a key batch larger than the pipe
-            // capacity, or a slow reader). Park in poll(2) until the
-            // kernel drains room rather than busy-spinning on write;
-            // POLLERR/POLLHUP wake us so a dying child surfaces as
-            // EPIPE on the next write attempt.
-            struct pollfd pfd = {};
-            pfd.fd = stdinFd_;
-            pfd.events = POLLOUT;
-            const int pr = ::poll(&pfd, 1, 1000 /* ms */);
-            if (pr < 0 && errno != EINTR) {
-                throw IoError(csprintf(
-                    "subprocess stdin poll failed: %s",
-                    std::strerror(errno)));
-            }
-            continue;
-        }
-        if (n < 0 && errno == EPIPE)
-            return false; // child is gone; poll() will classify it
-        throw IoError(csprintf("subprocess stdin write failed: %s",
-                               std::strerror(errno)));
-    }
-    return true;
 }
 
 void

@@ -1,15 +1,16 @@
 /**
  * @file
- * Child-process management for the campaign shard supervisor.
+ * Child-process management: the campaign shard supervisor's workers
+ * and the processes tests and benchmarks drive.
  *
- * A supervised worker is a re-exec of this binary: fork + execve with
- * its stdin and stdout replaced by pipes. The parent feeds the worker
- * its assignment over stdin, drains protocol lines from stdout with
- * non-blocking reads (the supervisor's event loop must never block on
- * a wedged child), and detects death through waitpid — classifying a
- * clean exit code apart from a fatal signal, because "exited 1" means
- * a reported error while "killed by SIGSEGV" means the address space
- * is gone and only the write-ahead journal survives.
+ * A child is fork + execve, optionally with pipes on its stdin and
+ * stdout. The parent drains a piped stdout with non-blocking reads (an
+ * event loop must never block on a wedged child) and detects death
+ * through waitpid — classifying a clean exit code apart from a fatal
+ * signal, because "exited 1" means a reported error while "killed by
+ * SIGSEGV" means the address space is gone and only the write-ahead
+ * journal survives. Shard workers get no pipes: they take their jobs
+ * from argv and report through their journals.
  *
  * All deadlines in this module are monotonic (common/clock.hh): a
  * system clock step can neither fire nor suppress a wait timeout.
@@ -78,7 +79,7 @@ struct ExitStatus
 };
 
 /**
- * One forked child with piped stdin/stdout.
+ * One forked child, with stdin/stdout piped or inherited.
  *
  * Movable, not copyable. The destructor is a containment backstop: a
  * still-running child is SIGKILLed and reaped so a throwing
@@ -105,17 +106,7 @@ class Subprocess
     bool started() const { return pid_ > 0 || !status_.running(); }
     pid_t pid() const { return pid_; }
 
-    /**
-     * Write `data` to the child's stdin. The pipe is nonblocking;
-     * writes that fill the pipe buffer park in poll(POLLOUT) until
-     * the child drains room, so batches larger than the kernel pipe
-     * capacity are delivered intact even to a slow reader.
-     * @return false when the child already closed its end (EPIPE) —
-     *         a dying worker, handled by poll(), not an error here.
-     */
-    bool writeStdin(const std::string &data);
-
-    /** Close the stdin pipe (EOF marks the assignment complete). */
+    /** Close the stdin pipe: the child reads EOF. */
     void closeStdin();
 
     /**

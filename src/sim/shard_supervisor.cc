@@ -13,6 +13,7 @@
 #include <thread>
 
 #include <sys/resource.h>
+#include <time.h>
 #include <unistd.h>
 
 #include "common/atomic_file.hh"
@@ -89,6 +90,19 @@ okKeys(const std::vector<std::string> &journals)
     return ok;
 }
 
+/** CPU seconds process `pid` has used so far, or -1 when its clock
+ *  cannot be read. */
+double
+processCpuSeconds(pid_t pid)
+{
+    clockid_t clock;
+    timespec ts{};
+    if (::clock_getcpuclockid(pid, &clock) != 0 ||
+        ::clock_gettime(clock, &ts) != 0)
+        return -1;
+    return ts.tv_sec + ts.tv_nsec * 1e-9;
+}
+
 /** User + system CPU seconds of every reaped child process. */
 double
 childCpuSeconds()
@@ -106,12 +120,17 @@ childCpuSeconds()
 struct ShardState
 {
     std::vector<std::uint64_t> keys; ///< Assigned keys (ascending).
-    /** Settled keys: ok records in the shard journals, and the jobs
-     *  this run's workers reported ok, failed or timed out. */
+    /** Settled keys: ok records in the shard journals at start, and
+     *  every record this run's workers appended (ok, failed or timed
+     *  out). */
     std::map<std::uint64_t, JobStatus> settled;
+    /** The shard journal's length up to its last newline at start:
+     *  the records after it are this run's. */
+    std::uint64_t runStart = 0;
+    std::uint64_t readOffset = 0; ///< How far the journal is read.
     Subprocess proc;         ///< The worker, while `active`.
-    std::string buf;         ///< Its unterminated stdout line.
-    double lastActivity = 0; ///< When it last wrote to stdout.
+    double cpuSeconds = 0;   ///< Its CPU time when last read.
+    double lastActivity = 0; ///< When its CPU time last advanced.
     bool active = false;
     unsigned restarts = 0;
     bool restartPending = false;
@@ -152,6 +171,29 @@ std::string
 shardJournalPath(const std::string &dir, unsigned shard)
 {
     return csprintf("%s/shard-%04u.jsonl", dir.c_str(), shard);
+}
+
+std::vector<SimJob>
+shardWorkerJobs(const std::vector<SimJob> &jobs, const std::string &dir,
+                unsigned shards, unsigned shard, std::uint64_t runStart)
+{
+    const std::vector<std::uint64_t> keys = campaignJobKeys(jobs);
+    const auto parts = partitionByKeyRange(keys, shards);
+    if (shard >= parts.size()) {
+        fatal("campaign-worker: no shard %u in a %zu-shard split of "
+              "this matrix (flag mismatch with the supervisor?)",
+              shard, parts.size());
+    }
+    std::set<std::uint64_t> settled = okKeys(listShardJournals(dir));
+    for (const JournalRecord &rec :
+         readJournalFrom(shardJournalPath(dir, shard), runStart))
+        settled.insert(rec.key);
+    std::vector<SimJob> out;
+    for (std::size_t i : parts[shard]) {
+        if (!settled.count(keys[i]))
+            out.push_back(jobs[i]);
+    }
+    return out;
 }
 
 ShardSupervisorResult
@@ -199,15 +241,6 @@ runShardedCampaign(const std::vector<SimJob> &jobs,
             shard[s].keys.push_back(keys[idx]);
     }
 
-    const auto settle = [&](unsigned s,
-                            const std::set<std::uint64_t> &ok) {
-        ShardState &st = shard[s];
-        for (std::uint64_t k : st.keys) {
-            if (ok.count(k))
-                st.settled.emplace(k, JobStatus::Ok);
-        }
-    };
-
     // At start every shard journal in the directory counts: a resume
     // with another shard count finds a job's ok record in the journal
     // of the shard that owned it before.
@@ -215,9 +248,15 @@ runShardedCampaign(const std::vector<SimJob> &jobs,
         okKeys(listShardJournals(dir));
     std::size_t replayedAtStart = 0;
     for (unsigned s = 0; s < shards; ++s) {
-        settle(s, okAtStart);
-        replayedAtStart += shard[s].settled.size();
-        shard[s].done = shard[s].settled.size() == shard[s].keys.size();
+        ShardState &st = shard[s];
+        for (std::uint64_t k : st.keys) {
+            if (okAtStart.count(k))
+                st.settled.emplace(k, JobStatus::Ok);
+        }
+        replayedAtStart += st.settled.size();
+        st.done = st.settled.size() == st.keys.size();
+        readJournalFrom(shardJournalPath(dir, s), st.runStart);
+        st.readOffset = st.runStart;
     }
 
     const std::string exe = resolveSelfExe(opts.exePath);
@@ -277,30 +316,25 @@ runShardedCampaign(const std::vector<SimJob> &jobs,
         return snap;
     };
 
-    // Spawn a worker for the keys shard `s` has not settled.
+    // Spawn a worker for shard `s`. It derives the keys the shard has
+    // not settled from its argv (shardWorkerJobs()) and reports only
+    // through the shard journal, so it gets no pipes.
     const auto spawnWorker = [&](unsigned s) {
         ShardState &st = shard[s];
         SpawnOptions sp;
         sp.argv = {exe, "campaign-worker", dir};
         sp.argv.insert(sp.argv.end(), opts.workerArgs.begin(),
                        opts.workerArgs.end());
-        sp.argv.push_back("--journal");
-        sp.argv.push_back(shardJournalPath(dir, s));
+        sp.argv.insert(sp.argv.end(),
+                       {"--shards", std::to_string(shards), "--shard",
+                        csprintf("%u@%llu", s,
+                                 static_cast<unsigned long long>(
+                                     st.runStart))});
+        sp.pipeStdin = sp.pipeStdout = false;
         st.proc = Subprocess(); // a restart: spawn() runs once per object
         st.proc.spawn(sp);
-
-        std::string feed;
-        std::size_t assigned = 0;
-        for (std::uint64_t k : st.keys) {
-            if (st.settled.count(k))
-                continue;
-            feed += csprintf("%016llx\n",
-                             static_cast<unsigned long long>(k));
-            ++assigned;
-        }
-        st.proc.writeStdin(feed);
-        st.proc.closeStdin();
-        st.buf.clear();
+        const std::size_t assigned = st.keys.size() - st.settled.size();
+        st.cpuSeconds = 0;
         st.lastActivity = monotonicSeconds();
         st.active = true;
         flight.record(FlightEventType::WorkerSpawn, 0,
@@ -327,9 +361,9 @@ runShardedCampaign(const std::vector<SimJob> &jobs,
         return n;
     };
 
-    // The supervision loop: drain worker output, classify deaths,
-    // restart with backoff. 10ms poll keeps the loop responsive
-    // without measurable load.
+    // The supervision loop: read the shard journals, watch the
+    // workers' CPU clocks, classify deaths, restart with backoff. 10ms
+    // poll keeps the loop responsive without measurable load.
     while (true) {
         const double now = monotonicSeconds();
 
@@ -343,52 +377,46 @@ runShardedCampaign(const std::vector<SimJob> &jobs,
             if (!st.active)
                 continue;
 
-            // Poll before draining stdout: a worker seen dead has
-            // already written every line it will, so none is lost.
+            // Hung worker: alive, but its CPU time has stood still
+            // past the heartbeat window (stopped, deadlocked, or stuck
+            // in one blocking call). An unreadable clock counts as
+            // progress, so it never makes a false hang. SIGKILL it
+            // and let the death path classify.
             ExitStatus es = st.proc.poll();
-            const std::string data = st.proc.readAvailable();
-            if (!data.empty()) {
-                st.lastActivity = now;
-                st.buf += data;
-                std::size_t nl;
-                while ((nl = st.buf.find('\n')) != std::string::npos) {
-                    const std::string line = st.buf.substr(0, nl);
-                    st.buf.erase(0, nl + 1);
-                    // Only settled statuses count: a draining worker
-                    // also reports interrupted / skipped jobs, which
-                    // must stay pending. "ready"/"hb" lines only
-                    // carry liveness.
-                    JobStatus status{};
-                    if (line.rfind("done ", 0) == 0 &&
-                        line.size() > 5 + 17 &&
-                        jobStatusFromName(line.substr(5 + 17),
-                                          status) &&
-                        (status == JobStatus::Ok ||
-                         status == JobStatus::Failed ||
-                         status == JobStatus::TimedOut)) {
-                        st.settled.emplace(
-                            std::strtoull(line.substr(5, 16).c_str(),
-                                          nullptr, 16),
-                            status);
-                    }
+            if (es.running()) {
+                const double cpu = processCpuSeconds(st.proc.pid());
+                if (cpu < 0 || cpu > st.cpuSeconds) {
+                    st.cpuSeconds = cpu;
+                    st.lastActivity = now;
                 }
             }
-
-            // Hung worker: alive but silent past the heartbeat
-            // window. SIGKILL it and let the death path classify.
             if (es.running() && opts.heartbeatTimeoutSeconds > 0 &&
                 now - st.lastActivity > opts.heartbeatTimeoutSeconds) {
                 flight.record(
                     FlightEventType::HeartbeatMiss, 0,
-                    csprintf("shard %u pid %d silent %.1fs", s,
+                    csprintf("shard %u pid %d idle %.1fs", s,
                              static_cast<int>(st.proc.pid()),
                              now - st.lastActivity));
-                event(csprintf("shard %u: worker pid %d hung (no "
-                               "heartbeat for %.1fs); SIGKILL",
+                event(csprintf("shard %u: worker pid %d hung (no CPU "
+                               "time for %.1fs); SIGKILL",
                                s, static_cast<int>(st.proc.pid()),
                                now - st.lastActivity));
                 st.proc.killHard();
                 es = st.proc.poll();
+            }
+
+            // Progress: every record settles its job, as the journal
+            // holds only ok, failed and timed-out records. Read after
+            // the poll, so a dead worker's last record is in. A key
+            // of another range comes from a draining worker of a
+            // killed supervisor that split the matrix differently.
+            for (const JournalRecord &rec : readJournalFrom(
+                     shardJournalPath(dir, s), st.readOffset)) {
+                JobStatus status{};
+                if (std::binary_search(st.keys.begin(), st.keys.end(),
+                                       rec.key) &&
+                    jobStatusFromName(rec.status, status))
+                    st.settled.emplace(rec.key, status);
             }
             if (es.running())
                 continue;
@@ -396,7 +424,6 @@ runShardedCampaign(const std::vector<SimJob> &jobs,
             // Death: the journal, not the exit status, is the truth
             // about what completed.
             st.active = false;
-            settle(s, okKeys({shardJournalPath(dir, s)}));
             const std::size_t rem = st.keys.size() - st.settled.size();
             if (rem == 0) {
                 st.done = true;

@@ -12,20 +12,21 @@
  * write-ahead journal survives.
  *
  * Supervision loop (single-threaded, monotonic-clock deadlines):
- *  - assignments are fed to each worker over its stdin pipe (one
- *    content key per line, EOF ends the assignment);
- *  - workers report progress over stdout ("ready", "hb" heartbeats,
- *    "done <key> <status>" after each durable journal append), read
- *    non-blockingly so a wedged worker can never stall the loop;
+ *  - a worker works out its jobs from its argv (shardWorkerJobs()),
+ *    and progress is read from the records it appends to its shard
+ *    journal (readJournalFrom()), so workers get no pipes;
+ *  - a worker whose CPU time stands still for the heartbeat window
+ *    is hung;
  *  - death is detected with waitpid and classified — a clean exit
  *    is completion, an exit code is a reported error, a fatal signal
- *    (SIGSEGV, SIGKILL, ...) is a crash — and crashed or hung (no
- *    heartbeat) shards are restarted with bounded exponential
- *    backoff, resuming from their shard journal.
+ *    (SIGSEGV, SIGKILL, ...) is a crash — and crashed or hung shards
+ *    are restarted with bounded exponential backoff, resuming from
+ *    their shard journal.
  *
- * Every other rule is the single-process campaign's: only an ok
- * record satisfies a job, so --resume reruns failed and timed-out
- * jobs; the merged campaign is interrupted exactly when the
+ * Every other rule is the single-process campaign's: at start only an
+ * ok record satisfies a job, so --resume reruns failed and timed-out
+ * jobs (a restarted worker skips the failures of this run); the
+ * merged campaign is interrupted exactly when the
  * interrupt flag rose or a job is left resumable, so permanent
  * failures exit 1; and workers get the per-job knobs from the same
  * flags the single-process campaign reads.
@@ -65,10 +66,11 @@ struct ShardSupervisorOptions
      *  backoff (0.1 s doubling to 2 s). */
     unsigned maxRestarts = 3;
 
-    /** A worker silent (no stdout bytes) for this long is declared
-     *  hung, SIGKILLed and restarted like a crash; 0 disables.
-     *  Workers heartbeat every ~500ms, so this bounds detection
-     *  latency for a wedged (not dead) process. */
+    /** A worker that uses no CPU time for this long is declared
+     *  hung, SIGKILLed and restarted like a crash; 0 disables. This
+     *  bounds detection latency for a wedged (not dead) process; a
+     *  worker blocked this long inside one system call counts as
+     *  hung too. */
     double heartbeatTimeoutSeconds = 30.0;
 
     /** Grace period granted to workers (SIGTERM, drain) when the
@@ -83,7 +85,8 @@ struct ShardSupervisorOptions
      *  the worker must rebuild the exact job matrix so the content
      *  keys it derives match the supervisor's, and the per-job knobs
      *  (--timeout-seconds/--retries...), each written so it reads
-     *  back exactly. The supervisor appends only --journal. */
+     *  back exactly. The supervisor appends only --shards N and
+     *  --shard I@B. */
     std::vector<std::string> workerArgs;
 
     /** Interrupt flag; defaults to the process-wide campaign flag. */
@@ -134,6 +137,17 @@ partitionByKeyRange(const std::vector<std::uint64_t> &keys,
 
 /** Journal path of shard `shard` in `dir`. */
 std::string shardJournalPath(const std::string &dir, unsigned shard);
+
+/**
+ * The jobs of the worker of shard `shard` of `shards` (`--shard
+ * shard@runStart`): its part of `jobs` (partitionByKeyRange()), minus
+ * those with an ok record in any shard journal in `dir`, minus those
+ * with any record after byte `runStart` of its own, where this run's
+ * records begin. Fatal when the split has no shard `shard`.
+ */
+std::vector<SimJob>
+shardWorkerJobs(const std::vector<SimJob> &jobs, const std::string &dir,
+                unsigned shards, unsigned shard, std::uint64_t runStart);
 
 /**
  * Run (or resume) a campaign across worker processes.

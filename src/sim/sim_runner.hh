@@ -67,7 +67,7 @@ enum class JobStatus : std::uint8_t
 /** @return a display name for a job status. */
 const char *jobStatusName(JobStatus s);
 
-/** Inverse of jobStatusName() (journal records, the worker pipe).
+/** Inverse of jobStatusName(), for journal records.
  *  @return false when `name` names no status. */
 bool jobStatusFromName(const std::string &name, JobStatus &out);
 

@@ -50,7 +50,7 @@ struct ShardStatus
     std::size_t done = 0;      ///< Keys with terminal records.
     unsigned restarts = 0;
     bool active = false;       ///< A worker process is running.
-    double heartbeatAgeSeconds = -1; ///< Since last output; -1 n/a.
+    double heartbeatAgeSeconds = -1; ///< Since it last used CPU; -1 n/a.
     bool failed = false;       ///< Restart budget exhausted.
 };
 

@@ -257,6 +257,61 @@ TEST(Journal, TruncatedFinalLineIsRecoveredSilently)
     EXPECT_EQ(replay.find(3), JournalReplay::npos);
 }
 
+TEST(Journal, RecordAppendedOntoATornOneIsKept)
+{
+    // A SIGKILL mid-append leaves a torn record without its newline,
+    // and the resumed run appends its next record right after it.
+    // That record loads; only the torn bytes are lost.
+    const std::string dir = freshDir("torn-append");
+    std::filesystem::create_directories(dir);
+    const std::string path = dir + "/journal.jsonl";
+    const std::string torn = formatJournalLine({3, "ok", "{\"v\":3}"});
+    writeRaw(path, formatJournalLine({1, "ok", "{\"v\":1}"}) + "\n" +
+                       torn.substr(0, torn.size() / 2));
+    {
+        JournalWriter writer(path);
+        writer.append({3, "ok", "{\"v\":3}"});
+        writer.append({4, "ok", "{\"v\":4}"});
+    }
+
+    const JournalReplay replay = loadJournal(path);
+    EXPECT_EQ(replay.corrupted, 0u);
+    EXPECT_EQ(replay.truncated, 1u);
+    ASSERT_EQ(replay.records.size(), 3u);
+    EXPECT_NE(replay.find(3), JournalReplay::npos);
+    EXPECT_NE(replay.find(4), JournalReplay::npos);
+
+    std::uint64_t offset = 0;
+    EXPECT_EQ(readJournalFrom(path, offset).size(), 3u);
+}
+
+TEST(Journal, TailReaderReadsCompleteLinesOnce)
+{
+    const std::string dir = freshDir("tail");
+    std::filesystem::create_directories(dir);
+    const std::string path = dir + "/journal.jsonl";
+    std::uint64_t offset = 0;
+    EXPECT_TRUE(readJournalFrom(path, offset).empty()); // not created
+    EXPECT_EQ(offset, 0u);
+
+    const std::string head = formatJournalLine({1, "ok", "{}"}) + "\n" +
+                             formatJournalLine({2, "failed", "{}"}) +
+                             "\n";
+    const std::string last = formatJournalLine({3, "ok", "{}"}) + "\n";
+    writeRaw(path, head + last.substr(0, 10));
+    const std::vector<JournalRecord> first = readJournalFrom(path, offset);
+    ASSERT_EQ(first.size(), 2u);
+    EXPECT_EQ(first[1].status, "failed");
+    EXPECT_EQ(offset, head.size()); // the partial line waits
+
+    writeRaw(path, head + last);
+    const std::vector<JournalRecord> rest = readJournalFrom(path, offset);
+    ASSERT_EQ(rest.size(), 1u);
+    EXPECT_EQ(rest[0].key, 3u);
+    EXPECT_EQ(offset, head.size() + last.size());
+    EXPECT_TRUE(readJournalFrom(path, offset).empty());
+}
+
 TEST(Journal, DuplicateKeysResolveLastWriteWins)
 {
     const std::string dir = freshDir("dup");

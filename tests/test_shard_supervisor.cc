@@ -16,6 +16,7 @@
 #include <csignal>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <set>
 #include <sstream>
 #include <thread>
@@ -722,48 +723,184 @@ TEST(ShardedCampaign, BenchEntryCountsTheWorkOfThisRun)
 
 TEST(ShardedCampaign, WorkerRebuildsMatrixFromForwardedFlags)
 {
-    // The worker derives content keys from the forwarded matrix
-    // flags; a worker handed a key its matrix cannot produce must
-    // die loudly instead of stalling the campaign. Exercised by
-    // running campaign-worker directly with a bogus key.
+    // The worker derives its jobs from the forwarded matrix flags and
+    // its --shard; a shard the matrix does not have must die loudly
+    // instead of stalling the campaign. Exercised by running
+    // campaign-worker directly.
     const std::string specs = freshDir("worker-specs");
-    const auto files = writeSpecs(specs, 1);
+    const auto files = writeSpecs(specs, 2);
     const std::string dir = freshDir("worker-dir");
     makeCampaignDirs(dir);
 
-    SpawnOptions opts;
-    opts.argv = {POWERCHOP_CLI_PATH, "campaign-worker", dir,
-                 "--workloads", csv(files),
-                 "--machine", "server",
-                 "--modes", "full-power,powerchop",
-                 "--insns", std::to_string(kInsns),
-                 "--journal", shardJournalPath(dir, 0)};
-    Subprocess p;
-    p.spawn(opts);
-    p.writeStdin("00000000deadbeef\n");
-    p.closeStdin();
-    const ExitStatus st = p.wait(60.0);
+    const auto worker = [&](const char *shard) {
+        SpawnOptions opts;
+        opts.argv = {POWERCHOP_CLI_PATH, "campaign-worker", dir,
+                     "--workloads", csv(files),
+                     "--machine", "server",
+                     "--modes", "full-power,powerchop",
+                     "--insns", std::to_string(kInsns),
+                     "--shards", "2", "--shard", shard};
+        Subprocess p;
+        p.spawn(opts);
+        p.closeStdin();
+        return p.wait(300.0);
+    };
+    const ExitStatus st = worker("2@0");
     EXPECT_EQ(st.kind, ExitStatus::Kind::Exited);
     EXPECT_NE(st.exitCode, 0);
 
-    // With real keys the same invocation completes and journals.
+    // A shard the matrix has journals exactly its key range.
+    EXPECT_TRUE(worker("1@0").exitedOk());
     const std::vector<SimJob> matrix = cliMatrix(files);
-    Subprocess ok;
-    ok.spawn(opts);
-    std::string feed;
-    for (const auto &job : matrix) {
-        feed += csprintf("%016llx\n",
-                         static_cast<unsigned long long>(
-                             campaignJobKey(job)));
+    const std::vector<std::uint64_t> keys = campaignJobKeys(matrix);
+    const auto parts = partitionByKeyRange(keys, 2);
+    std::set<std::uint64_t> part;
+    for (std::size_t i : parts[1])
+        part.insert(keys[i]);
+    std::set<std::uint64_t> journaled;
+    for (const JournalRecord &rec :
+         loadJournal(shardJournalPath(dir, 1)).records)
+        journaled.insert(rec.key);
+    EXPECT_EQ(journaled, part);
+    EXPECT_FALSE(std::filesystem::exists(shardJournalPath(dir, 0)));
+}
+
+/** Instructions per second of one job in this build, sanitizer builds
+ *  included. */
+double
+insnsPerSecond()
+{
+    const double t0 = monotonicSeconds();
+    for (const char *workload : {"perlbench", "namd"}) {
+        SimOptions o;
+        o.maxInstructions = 250'000;
+        simulate(serverConfig(), findWorkload(workload), o);
     }
-    ok.writeStdin(feed);
-    ok.closeStdin();
+    return 500'000 / (monotonicSeconds() - t0);
+}
+
+TEST(ShardedCampaign, HungWorkerIsKilledAndRestarted)
+{
+    // A stopped worker uses no CPU time, so after --heartbeat-seconds
+    // the supervisor declares it hung, SIGKILLs it and restarts its
+    // shard; the report still matches one process byte for byte.
+    // Each job takes about 0.4 s and each worker runs one at a time,
+    // so shard 0 has seconds of work left when it is stopped.
+    const std::string insns =
+        std::to_string(static_cast<InsnCount>(0.4 * insnsPerSecond()));
+    const auto args = [&](const std::string &dir) {
+        return std::vector<std::string>{
+            "campaign", dir, "--workloads", "perlbench,namd",
+            "--machine", "server", "--insns", insns};
+    };
+    const std::string ref = freshDir("hang-ref");
+    ASSERT_TRUE(runCli(args(ref)).exitedOk());
+
+    const std::string dir = freshDir("hang");
+    SpawnOptions opts;
+    // The supervisor logs to stderr: fold it into the captured stdout.
+    opts.argv = {"/bin/sh", "-c", "exec \"$@\" 2>&1", "sh",
+                 POWERCHOP_CLI_PATH};
+    for (const std::string &arg : args(dir))
+        opts.argv.push_back(arg);
+    opts.argv.insert(opts.argv.end(),
+                     {"--shards", "2", "--heartbeat-seconds", "1"});
+    opts.extraEnv = {"POWERCHOP_JOBS=1"};
+    Subprocess p;
+    p.spawn(opts);
+    p.closeStdin();
+
+    // Shard 0's worker, by the pid in its status snapshot.
     std::string out;
-    EXPECT_TRUE(ok.wait(300.0, &out).exitedOk()) << out;
-    EXPECT_NE(out.find(csprintf("ready %zu", matrix.size())),
-              std::string::npos);
-    EXPECT_EQ(loadJournal(shardJournalPath(dir, 0)).records.size(),
-              matrix.size());
+    int pid = 0;
+    const MonotonicDeadline give_up(120.0);
+    while (pid == 0) {
+        out += p.readAvailable();
+        for (const StatusEntry &e : readStatusDir(dir)) {
+            if (e.parsed && e.snap.label == "shard-0000" &&
+                !e.snap.finished)
+                pid = e.snap.pid;
+        }
+        ASSERT_TRUE(p.poll().running())
+            << "the campaign ended before its worker was seen\n" << out;
+        ASSERT_FALSE(give_up.expired());
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+    ASSERT_EQ(::kill(pid, SIGSTOP), 0);
+    EXPECT_EQ(p.wait(300.0, &out).describe(), "exit 0") << out;
+    EXPECT_NE(out.find("hung"), std::string::npos) << out;
+    EXPECT_NE(out.find("shard 0: restart"), std::string::npos) << out;
+    EXPECT_EQ(readFile(dir + "/report.json"),
+              readFile(ref + "/report.json"));
+}
+
+/** How many records each key has in the first `shards` shard
+ *  journals of `dir`. */
+std::map<std::uint64_t, std::size_t>
+recordsPerKey(const std::string &dir, unsigned shards)
+{
+    std::map<std::uint64_t, std::size_t> count;
+    for (unsigned s = 0; s < shards; ++s) {
+        std::uint64_t offset = 0;
+        for (const JournalRecord &rec :
+             readJournalFrom(shardJournalPath(dir, s), offset))
+            ++count[rec.key];
+    }
+    return count;
+}
+
+TEST(ShardedCampaign, FailedJobsRunOncePerRun)
+{
+    // Every job times out: at 200M instructions none finishes within
+    // 0.0004 s, however the jobs are scheduled. A worker crashes at
+    // one job before its record is durable; the restarted worker
+    // reruns only the jobs with no record from this run, so each key
+    // has one record. A --resume, with a crash at another key, reruns
+    // every failure exactly once more.
+    const std::vector<std::uint64_t> keys =
+        campaignJobKeys(expandCampaignMatrix(
+            {findWorkload("perlbench"), findWorkload("namd")},
+            {"server", "mobile"},
+            {SimMode::FullPower, SimMode::PowerChop, SimMode::MinPower,
+             SimMode::TimeoutVpu, SimMode::DrowsyMlc},
+            200'000'000, 0));
+    ASSERT_EQ(keys.size(), 20u);
+    const std::string dir = freshDir("once-per-run");
+    std::vector<std::string> args = {
+        "campaign", dir, "--workloads", "perlbench,namd",
+        "--insns", "200000000", "--timeout-seconds", "0.0004",
+        "--shards", "2"};
+    const auto runCrashingAt = [&](std::uint64_t key) {
+        std::string out;
+        EXPECT_EQ(runCli(args,
+                         {csprintf("POWERCHOP_TEST_CRASH_KEY=%016llx",
+                                   static_cast<unsigned long long>(key))},
+                         &out)
+                      .describe(),
+                  "exit 1")
+            << out;
+        EXPECT_TRUE(std::filesystem::exists(
+            csprintf("%s/.crash-fired-%016llx", dir.c_str(),
+                     static_cast<unsigned long long>(key))));
+    };
+    const auto expectRecordsPerKey = [&](std::size_t n) {
+        const auto count = recordsPerKey(dir, 2);
+        EXPECT_EQ(count.size(), keys.size());
+        for (std::uint64_t key : keys) {
+            const auto it = count.find(key);
+            EXPECT_TRUE(it != count.end() && it->second == n)
+                << csprintf("%016llx", static_cast<unsigned long long>(key));
+        }
+    };
+
+    runCrashingAt(keys[3]);
+    expectRecordsPerKey(1);
+    for (unsigned s = 0; s < 2; ++s)
+        EXPECT_EQ(loadJournal(shardJournalPath(dir, s)).duplicates, 0u);
+
+    args.push_back("--resume");
+    runCrashingAt(keys[12]);
+    expectRecordsPerKey(2);
 }
 
 } // namespace

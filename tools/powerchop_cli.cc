@@ -26,10 +26,11 @@
  *                                the merged report.json and the exit
  *                                status match a single-process run.
  *   campaign-worker <dir>        Internal: one shard of a sharded
- *                                campaign. Reads assigned content
- *                                keys from stdin, journals to
- *                                --journal, reports done/heartbeat
- *                                lines on stdout.
+ *                                campaign, --shard I@B of --shards
+ *                                N. Works out its jobs from the
+ *                                matrix flags and the shard journals
+ *                                and reports only through its
+ *                                journal, <dir>/shard-NNNN.jsonl.
  *   status <dir>                 Read a campaign's live statusboard
  *                                (the snapshots in <dir>/status).
  *                                Exits 2 when <dir> holds none
@@ -69,7 +70,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <thread>
@@ -147,7 +147,9 @@ struct Args
     /** Restarts, heartbeat timeout, and the forwarded flags' tokens
      *  as workerArgs. */
     ShardSupervisorOptions supervisor;
-    std::string journal; ///< Shard journal (campaign-worker).
+    /** campaign-worker: its shard and where that shard's journal
+     *  ended when the supervisor started (--shard I@B). */
+    std::optional<std::pair<unsigned, std::uint64_t>> shard;
     /** @} */
 
     /** status-only options. @{ */
@@ -233,10 +235,17 @@ cliFlags(Args &a)
         {"--max-restarts", "N", "campaign: restarts per shard (default 3)",
          setNumber(a.supervisor.maxRestarts)},
         {"--heartbeat-seconds", "S",
-         "campaign: a worker silent this long is hung (30)",
+         "campaign: a worker using no CPU this long is hung (30)",
          setSeconds(a.supervisor.heartbeatTimeoutSeconds)},
-        {"--journal", "PATH", "campaign-worker: the shard's journal",
-         setText(a.journal)},
+        {"--shard", "I@B",
+         "campaign-worker: shard I; this run's records start at byte B",
+         [&a](const char *name, const std::string &v) {
+             const std::size_t at = v.find('@');
+             a.shard.emplace(
+                 parseNumber<unsigned>(name, v.substr(0, at)),
+                 parseNumber<std::uint64_t>(
+                     name, at == std::string::npos ? "" : v.substr(at + 1)));
+         }},
         {"--follow", nullptr, "status: redraw every --interval",
          setSwitch(a.follow)},
         {"--prom", nullptr, "status: Prometheus textfile exposition",
@@ -835,79 +844,18 @@ cmdShardedCampaign(const std::string &dir, const Args &a,
 int
 cmdCampaignWorker(const std::string &dir, const Args &a)
 {
-    if (a.journal.empty())
-        fatal("campaign-worker requires --journal PATH");
-
-    // Assignment: one 16-hex content key per stdin line, EOF ends it.
-    std::vector<std::uint64_t> assigned;
-    {
-        std::string line;
-        char buf[64];
-        while (std::fgets(buf, sizeof(buf), stdin)) {
-            line = buf;
-            while (!line.empty() &&
-                   (line.back() == '\n' || line.back() == '\r')) {
-                line.pop_back();
-            }
-            if (line.empty())
-                continue;
-            std::uint64_t key = 0;
-            if (!parseContentKey(line, key)) {
-                fatal("campaign-worker: assigned key '%s' is not 1..16 "
-                      "hex digits",
-                      line.c_str());
-            }
-            assigned.push_back(key);
-        }
-    }
-
-    // Rebuild the matrix from the forwarded flags and keep only the
-    // assigned keys. An assigned key the matrix cannot produce means
-    // supervisor and worker disagree about the spec — fatal, because
-    // silently dropping it would stall the campaign.
-    const std::vector<SimJob> matrix = buildCampaignJobs(a);
-    const std::vector<std::uint64_t> matrix_keys =
-        campaignJobKeys(matrix);
-    std::vector<SimJob> jobs;
-    for (std::uint64_t key : assigned) {
-        const auto it =
-            std::find(matrix_keys.begin(), matrix_keys.end(), key);
-        if (it == matrix_keys.end()) {
-            fatal("campaign-worker: assigned key %016llx matches no "
-                  "job of this matrix (flag mismatch with the "
-                  "supervisor?)",
-                  static_cast<unsigned long long>(key));
-        }
-        jobs.push_back(matrix[it - matrix_keys.begin()]);
-    }
+    if (!a.shard)
+        fatal("campaign-worker requires --shard I@B");
+    const auto [shard, runStart] = *a.shard;
+    const std::vector<SimJob> jobs = shardWorkerJobs(
+        buildCampaignJobs(a), dir, a.shards, shard, runStart);
+    const std::string journal = shardJournalPath(dir, shard);
 
     installCampaignSignalHandlers();
     if (flightRecorderEnabled()) {
         FlightRecorder::global().enable(dir + "/flight-" +
-                                        shardLabel(a.journal) + ".jsonl");
+                                        shardLabel(journal) + ".jsonl");
     }
-
-    // Protocol stdout (ready/hb/done lines) is shared between worker
-    // threads and the heartbeat thread.
-    std::mutex out_mutex;
-    const auto emit = [&](const std::string &line) {
-        std::lock_guard<std::mutex> lock(out_mutex);
-        std::fputs((line + "\n").c_str(), stdout);
-        std::fflush(stdout);
-    };
-    emit(csprintf("ready %zu", jobs.size()));
-
-    // ~500ms cadence keeps hang detection cheap and prompt; worker
-    // exit wakes the wait at once.
-    StopLatch hb_stop;
-    std::thread heartbeat([&] {
-        while (!hb_stop.waitFor(std::chrono::milliseconds(500)))
-            emit("hb");
-    });
-    const auto stopHeartbeat = [&] {
-        hb_stop.stop();
-        heartbeat.join();
-    };
 
     // Crash injection for the containment tests: kill this process
     // at the worst possible point — after the assigned job's work,
@@ -944,25 +892,13 @@ cmdCampaignWorker(const std::string &dir, const Args &a)
             ::raise(SIGSEGV);
         }
     };
-    copts.onJobDone = [&](std::uint64_t key, const JobOutcome &o,
-                          bool) {
-        emit(csprintf("done %016llx %s",
-                      static_cast<unsigned long long>(key),
-                      jobStatusName(o.status)));
-    };
 
     SimJobRunner runner;
-    CampaignResult res;
-    try {
-        res = runCampaignShard(runner, jobs, a.journal, copts);
-    } catch (...) {
-        stopHeartbeat();
-        throw;
-    }
-    stopHeartbeat();
     // Failed and timed-out jobs are terminal too: the worker is done
     // unless the drain left some jobs resumable.
-    return res.interrupted ? campaignInterruptedExitStatus : 0;
+    return runCampaignShard(runner, jobs, journal, copts).interrupted
+               ? campaignInterruptedExitStatus
+               : 0;
 }
 
 int
